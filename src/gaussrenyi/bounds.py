@@ -9,36 +9,63 @@ derivatives is bounded by
 with theta < 1 < c.  The convex mixture with weight eps on the Renyi
 map therefore contracts while (1-eps) theta + eps c < 1, which pins the
 admissible range eps <= (1 - theta) / (c - theta).  The i = 1 case is
-not covered by these estimates.
+not covered by these estimates.  :func:`hurwitz_zeta` is the package's
+one zeta summation; the transfer operator tails use it too.
 """
 
 from __future__ import annotations
 
-import math
+import warnings
 from dataclasses import dataclass
 
-# closed forms zeta(2m) = rational * pi^(2m) for 2m <= 12
-_EVEN_ZETA_RATIONAL = {
-    2: (1, 6),
-    4: (1, 90),
-    6: (1, 945),
-    8: (1, 9450),
-    10: (1, 93555),
-    12: (691, 638512875),
-}
+import numpy as np
+
+# B_2j / (2j)! for j = 1..8, the Euler-Maclaurin correction coefficients
+_BERNOULLI_OVER_FACTORIAL = (
+    1 / 12,
+    -1 / 720,
+    1 / 30240,
+    -1 / 1209600,
+    1 / 47900160,
+    -691 / 1307674368000,
+    1 / 74724249600,
+    -3617 / 10670622842880000,
+)
+_EXPLICIT_TERMS = 12
+
+
+def hurwitz_zeta(s, q):
+    """zeta(s, q) = sum_{a >= 0} (a + q)^(-s) by Euler-Maclaurin summation.
+
+    Twelve terms are summed explicitly; the rest is the integral, the
+    half-term and eight Bernoulli corrections at x = q + 12 (the
+    Euler-Maclaurin formula, DLMF 2.10.1, on the series DLMF 25.11.1),
+    which leaves a remainder far below double rounding for s >= 2 and
+    q >= 1.  Vectorised over q.
+    """
+    if s <= 1:
+        raise ValueError(f"exponent must exceed 1: {s!r}")
+    qa = np.asarray(q, dtype=float)
+    if np.any(qa <= 0):
+        raise ValueError("offset must be positive")
+    s = float(s)
+    x = qa + _EXPLICIT_TERMS
+    xs = x**-s
+    out = x * xs / (s - 1.0) + 0.5 * xs
+    rising = s * xs / x  # s (s+1) ... (s+2j-2) x^(-s-2j+1) at j = 1
+    for j, b in enumerate(_BERNOULLI_OVER_FACTORIAL, start=1):
+        out = out + b * rising
+        rising = rising * ((s + 2 * j - 1) * (s + 2 * j)) / (x * x)
+    for a in range(_EXPLICIT_TERMS - 1, -1, -1):  # smallest terms first
+        out = out + (qa + a) ** -s
+    return float(out) if np.isscalar(q) else out
 
 
 def even_zeta(n):
-    """zeta(n) for even n >= 2; closed form where available, else summed."""
+    """zeta(n) for even n >= 2."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"even integer >= 2 required: {n!r}")
-    if n in _EVEN_ZETA_RATIONAL:
-        p, q = _EVEN_ZETA_RATIONAL[n]
-        return p * math.pi**n / q
-    # converges extremely fast for n >= 14; tail below double rounding
-    total = sum(k ** (-float(n)) for k in range(1, 200))
-    total += 200.0 ** (1 - n) / (n - 1) + 0.5 * 200.0 ** (-float(n))
-    return total
+    return hurwitz_zeta(n, 1.0)
 
 
 def _check_index(i):
@@ -79,3 +106,17 @@ class LasotaYorkeBounds:
 
 def lasota_yorke_bounds(i):
     return LasotaYorkeBounds(i, theta_bound(i), c_bound(i), eps_max(i))
+
+
+# admissible mixture range for the default smoothness index
+_ADMISSIBLE_EPS_MAX = eps_max(2)
+
+
+def warn_if_inadmissible(eps):
+    """Warn when eps lies outside [0, eps_max(2)]; call from public entry points."""
+    if not 0.0 <= eps <= _ADMISSIBLE_EPS_MAX:
+        warnings.warn(
+            f"mixture weight {eps!r} outside the admissible range "
+            f"[0, {_ADMISSIBLE_EPS_MAX:.6f}]",
+            stacklevel=3,  # past this helper and its caller, at the library user
+        )

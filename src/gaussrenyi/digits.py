@@ -26,9 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import eps_max
-
-_EPS_ADMISSIBLE = eps_max(2)
+from .bounds import warn_if_inadmissible
 
 
 class NormalizationError(RuntimeError):
@@ -109,12 +107,7 @@ def digit_probability(n, eps, series):
     expansion.  Weights outside the admissible mixture range trigger a
     warning but the computation proceeds.
     """
-    if eps < 0.0 or eps > _EPS_ADMISSIBLE:
-        warnings.warn(
-            f"mixture weight {eps!r} outside the admissible range "
-            f"[0, {_EPS_ADMISSIBLE:.6f}]",
-            stacklevel=2,
-        )
+    warn_if_inadmissible(eps)
     h = series.at(eps)
     total = 0.0
     for cell in digit_cells(n):

@@ -168,9 +168,6 @@ class ChebFn:
         out = ncheb.chebval(2.0 * arr - 1.0, self._coeffs)
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
-    def eval(self, x):
-        return self(x)
-
     def integrate(self):
         """Integral over [0, 1], exact on the polynomial space."""
         return float(integral_row(self.degree) @ self._coeffs)

@@ -15,34 +15,44 @@ from __future__ import annotations
 import enum
 import math
 
+import numpy as np
+
 
 class MapKind(enum.Enum):
     GAUSS = "gauss"
     RENYI = "renyi"
 
 
-def forward(kind, x):
-    """Apply the map once; returns (image, digit).
+def check_kind(kind):
+    if kind not in (MapKind.GAUSS, MapKind.RENYI):
+        raise TypeError(f"not a MapKind: {kind!r}")
 
-    The digit is floor(1/x) for Gauss and floor(1/(1-x)) for Renyi.  At
-    the fixed points (x = 0 for Gauss, x = 1 for Renyi) the image is 0
-    by convention and the digit is reported as 0, since no branch cell
-    contains those points.
+
+def map_step(bits, x):
+    """Gauss (bit 0) or Renyi (bit 1) step on arrays; returns (image, digit).
+
+    With z = x (Gauss) or 1 - x (Renyi) the digit is floor(1/z) and the
+    image 1/z - digit.  At the fixed points (z = 0) image and digit are 0
+    by convention, since no branch cell contains them.  No validation.
+    """
+    z = np.array(x, dtype=float)
+    np.subtract(1.0, z, out=z, where=bits == 1)  # Renyi reflection, in place
+    inv = np.divide(1.0, z, out=z, where=z > 0.0)  # z == 0 stays 0
+    digit = np.floor(inv)
+    return np.subtract(inv, digit, out=inv), digit
+
+
+def forward(kind, x):
+    """Apply the map once; returns (image, digit) as (float, int).
+
+    The digit is floor(1/x) for Gauss and floor(1/(1-x)) for Renyi, with
+    the fixed-point conventions of :func:`map_step`.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x outside [0, 1]: {x!r}")
-    if kind is MapKind.GAUSS:
-        if x == 0.0:
-            return 0.0, 0
-        inv = 1.0 / x
-    elif kind is MapKind.RENYI:
-        if x == 1.0:
-            return 0.0, 0
-        inv = 1.0 / (1.0 - x)
-    else:
-        raise TypeError(f"not a MapKind: {kind!r}")
-    a = int(math.floor(inv))
-    return inv - a, a
+    check_kind(kind)
+    image, digit = map_step(int(kind is MapKind.RENYI), x)
+    return float(image), int(digit)
 
 
 def inverse_branch(kind, a, y):
@@ -62,8 +72,7 @@ def branch_derivative(kind, a, y):
     _check_branch(a)
     if not 0.0 <= y <= 1.0:
         raise ValueError(f"y outside [0, 1]: {y!r}")
-    if kind not in (MapKind.GAUSS, MapKind.RENYI):
-        raise TypeError(f"not a MapKind: {kind!r}")
+    check_kind(kind)
     return 1.0 / (a + y) ** 2
 
 

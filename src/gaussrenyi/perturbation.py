@@ -54,8 +54,7 @@ class PerturbationSeries:
         return linear_combo(terms)
 
 
-def evaluate_series(series, eps):
-    return series.at(eps)
+evaluate_series = PerturbationSeries.at
 
 
 def mixture_forcing_terms(h0, m1, order):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
-from .maps import MapKind
+from .maps import MapKind, check_kind, map_step
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,7 @@ def step(omega_bit, x):
         raise ValueError(f"map selector must be 0 or 1: {omega_bit!r}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x outside [0, 1]: {x!r}")
-    if omega_bit == 0:
-        if x == 0.0:
-            return 0.0
-        inv = 1.0 / x
-    else:
-        if x == 1.0:
-            return 0.0
-        inv = 1.0 / (1.0 - x)
-    return inv - math.floor(inv)
+    return float(map_step(omega_bit, x)[0])
 
 
 def digit_b(omega1, omega2, x):
@@ -115,26 +107,6 @@ def digit_b(omega1, omega2, x):
     if z == 0.0:
         raise ValueError("digit undefined at the branch accumulation point")
     return int(math.floor(1.0 / z)) + omega2
-
-
-def _step_vec(bits, x):
-    """Vectorized random map step with the fixed-point conventions."""
-    out = np.zeros_like(x)
-    g = bits == 0
-    xg = x[g]
-    pos = xg > 0.0
-    inv = 1.0 / xg[pos]
-    tmp = np.zeros_like(xg)
-    tmp[pos] = inv - np.floor(inv)
-    out[g] = tmp
-    r = ~g
-    xr = x[r]
-    below = xr < 1.0
-    inv = 1.0 / (1.0 - xr[below])
-    tmp = np.zeros_like(xr)
-    tmp[below] = inv - np.floor(inv)
-    out[r] = tmp
-    return out
 
 
 def simulate_digit_freq(cfg, n_max=100, first_bit=0):
@@ -166,18 +138,16 @@ def simulate_digit_freq(cfg, n_max=100, first_bit=0):
     first = np.full(cfg.samples, first_bit, dtype=np.int8)
     for j in range(cfg.n_index - 1):
         b = first if j == 0 else bits[:, j - 1]
-        x = _step_vec(b, x)
+        x = map_step(b, x)[0]
     if cfg.n_index == 1:
         w1, w2 = first, bits[:, 0]
     else:
         w1, w2 = bits[:, cfg.n_index - 2], bits[:, cfg.n_index - 1]
-    z = np.where(w1 == 1, 1.0 - x, x)
-    digits = np.full(cfg.samples, n_max + 1, dtype=np.int64)  # sentinel: overflow
-    ok = z > 0.0
-    digits[ok] = np.floor(1.0 / z[ok]).astype(np.int64) + w2[ok]
-    binned = np.bincount(np.minimum(digits, n_max + 1), minlength=n_max + 2)
+    k = map_step(w1, x)[1]  # 0 marks the fixed point: digit undefined, overflow
+    digits = np.where(k > 0.0, np.minimum(k + w2, n_max + 1), n_max + 1)
+    binned = np.bincount(digits.astype(np.int64), minlength=n_max + 2)
     counts = binned[1 : n_max + 1]
-    overflow = int(binned[0] + binned[n_max + 1])
+    overflow = int(binned[n_max + 1])
     return EmpiricalLaw(counts, overflow, cfg.samples)
 
 
@@ -196,7 +166,7 @@ def empirical_density(cfg, bins=100):
     x = rng.random(cfg.samples)
     for _ in range(cfg.burn_in):
         bits = (rng.random(cfg.samples) < cfg.eps).astype(np.int8)
-        x = _step_vec(bits, x)
+        x = map_step(bits, x)[0]
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts, _ = np.histogram(x, bins=edges)
     return DensityHistogram(edges, counts / cfg.samples)
@@ -209,8 +179,7 @@ def brute_force_transfer(kind, f, y, a_huge=10**6):
     to validate the Taylor-tail policies; the truncation error is of
     order sup|f| / a_huge.
     """
-    if kind not in (MapKind.GAUSS, MapKind.RENYI):
-        raise TypeError(f"not a MapKind: {kind!r}")
+    check_kind(kind)
     if a_huge < 10**5:
         raise ValueError(f"a_huge must be at least 1e5: {a_huge!r}")
     if not 0.0 <= y <= 1.0:

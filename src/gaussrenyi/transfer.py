@@ -22,10 +22,9 @@ tail error bound.
 
 The annealed operator of the random system choosing Gauss with
 probability 1 - eps and Renyi with probability eps is the convex
-mixture (1 - eps) L0 + eps L1.  Its fixed density is found by power
-iteration (the spectral gap makes this geometric) and the resolvent
-(I - L)^(-1) on zero-mean functions is realized as a bordered linear
-solve that enforces the mean constraint exactly.
+mixture (1 - eps) L0 + eps L1.  Its unit-mass fixed density and the
+resolvent (I - L)^(-1) on zero-mean functions both solve the bordered
+system [[I - M, 1], [q, 0]], for right-hand sides [0; 1] and [g; 0].
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
-from .bounds import eps_max
+from .bounds import hurwitz_zeta, warn_if_inadmissible
 from .funcspace import (
     ChebFn,
     chebyshev_nodes,
@@ -46,15 +45,8 @@ from .funcspace import (
     quadrature_weights,
     values_to_coeffs_matrix,
 )
-from .maps import MapKind
+from .maps import MapKind, check_kind
 
-_HURWITZ_TERMS = 100000
-
-# admissible mixture range reported for the default smoothness index
-_EPS_ADMISSIBLE = eps_max(2)
-
-_POWER_ITER_CAP = 10000
-_POWER_ITER_TOL = 1e-13
 _RESIDUAL_LIMIT = 1e-12
 _NEGATIVE_LIMIT = -1e-10
 
@@ -99,51 +91,6 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", e)
 
 
-def hurwitz_zeta(s, q, terms=_HURWITZ_TERMS):
-    """zeta(s, q) = sum_{a >= 0} (a + q)^(-s) by direct summation.
-
-    The truncated sum is completed with the integral of the summand and
-    the trapezoidal half-term, which leaves an error far below double
-    rounding for s >= 2 and q >= 1.
-    """
-    if s <= 1:
-        raise ValueError(f"exponent must exceed 1: {s!r}")
-    qa = np.asarray(q, dtype=float)
-    if np.any(qa <= 0):
-        raise ValueError("offset must be positive")
-    a = np.arange(terms, dtype=float)
-    out = np.sum((a[:, None] + qa.ravel()[None, :]) ** (-float(s)), axis=0)
-    qn = qa.ravel() + terms
-    out += qn ** (1.0 - s) / (s - 1.0) + 0.5 * qn ** (-float(s))
-    out = out.reshape(qa.shape)
-    return float(out) if np.isscalar(q) else out
-
-
-@lru_cache(maxsize=16)
-def _tail_zetas(a_max, degree, m):
-    """zeta(t + 2, a_max + 1 + nodes) for t = 0..m, shape (m+1, degree+1).
-
-    Chunked multiplicative accumulation; equivalent to hurwitz_zeta at
-    each exponent but an order of magnitude faster.
-    """
-    q = a_max + 1.0 + chebyshev_nodes(degree)
-    sums = np.zeros((m + 1, q.size))
-    chunk = 20000
-    for start in range(0, _HURWITZ_TERMS, chunk):
-        a = np.arange(start, min(start + chunk, _HURWITZ_TERMS), dtype=float)
-        base = 1.0 / (a[:, None] + q[None, :])
-        p = base * base
-        for t in range(m + 1):
-            sums[t] += p.sum(axis=0)
-            p = p * base
-    qn = q + _HURWITZ_TERMS
-    for t in range(m + 1):
-        s = t + 2.0
-        sums[t] += qn ** (1.0 - s) / (s - 1.0) + 0.5 * qn ** (-s)
-    sums.setflags(write=False)
-    return sums
-
-
 @lru_cache(maxsize=16)
 def _branch_points(kind, degree, a_max):
     """Pulled-back nodes V_a(y) and weights 1/(a+y)^2 for a = 1..a_max."""
@@ -167,7 +114,7 @@ def _tail_block(kind, degree, a_max, m):
     C = values_to_coeffs_matrix(degree)
     Dc = derivative_coeff_matrix(degree)
     estar = ncheb.chebvander(np.array([2.0 * xstar - 1.0]), degree)[0]
-    zetas = _tail_zetas(a_max, degree, m)
+    q = a_max + 1.0 + chebyshev_nodes(degree)
     T = np.zeros((degree + 1, degree + 1))
     P = np.eye(degree + 1)
     fact = 1.0
@@ -176,7 +123,7 @@ def _tail_block(kind, degree, a_max, m):
             P = Dc @ P
             fact *= t
         jet_row = estar @ P @ C  # node values -> f^(t)(xstar)
-        T += np.outer(sign**t / fact * zetas[t], jet_row)
+        T += np.outer(sign**t / fact * hurwitz_zeta(t + 2, q), jet_row)
     T.setflags(write=False)
     return T
 
@@ -204,11 +151,6 @@ def tail_error_bound(f, policy=None):
     return hurwitz_zeta(m + 3, policy.a_max + 1.0) * norm_sup(g) / fact
 
 
-def _check_kind(kind):
-    if kind not in (MapKind.GAUSS, MapKind.RENYI):
-        raise TypeError(f"not a MapKind: {kind!r}")
-
-
 def apply_transfer(kind, f, policy=None):
     """Apply the transfer operator of one map to a ChebFn.
 
@@ -227,7 +169,7 @@ def apply_transfer(kind, f, policy=None):
     error bound is checked and a TailBoundWarning is emitted when it
     exceeds 1e-8.
     """
-    _check_kind(kind)
+    check_kind(kind)
     policy = policy if policy is not None else TailPolicy()
     pts, w = _branch_points(kind, f.degree, policy.a_max)
     vals = ncheb.chebval(2.0 * pts - 1.0, f.coeffs)
@@ -255,7 +197,7 @@ def assemble_operator(kind, degree=128, policy=None):
     blocks as :func:`apply_transfer`, plus the rank-one mass fix, so the
     two code paths agree to rounding.
     """
-    _check_kind(kind)
+    check_kind(kind)
     if degree < 8:
         raise ValueError(f"degree must be at least 8: {degree!r}")
     policy = policy if policy is not None else TailPolicy()
@@ -278,35 +220,33 @@ def annealed(eps, m0, m1):
     return OperatorMatrix(entries, m0.degree, f"annealed({eps:g})", eps=float(eps))
 
 
+def _bordered_solve(m, rhs):
+    """Solve [[I - M, 1], [q, 0]] [u; c] = rhs for the quadrature row q; returns u."""
+    n = m.degree + 1
+    B = np.zeros((n + 1, n + 1))
+    B[:n, :n] = np.eye(n) - m.entries
+    B[:n, n] = 1.0
+    B[n, :n] = quadrature_weights(m.degree)
+    try:
+        return np.linalg.solve(B, rhs)[:n]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"bordered system is singular: {exc}") from exc
+
+
 def invariant_density(m):
     """Fixed density of an operator matrix, normalized to unit mass.
 
-    Power iteration with quadrature renormalization at every step; the
-    spectral gap of the mixture makes convergence geometric.  Raises
-    ConvergenceError when the iteration cap is hit or the final
-    fixed-point residual exceeds 1e-12.
+    Solves the bordered system with right-hand side [0; 1].  Raises
+    ConvergenceError when the system is singular, when the fixed-point
+    residual exceeds 1e-12 or when the density dips below -1e-10 on a
+    uniform grid; node values in [-1e-10, 0) are clamped to zero with
+    a warning.
     """
-    q = quadrature_weights(m.degree)
-    if m.eps is not None and not 0.0 <= m.eps <= _EPS_ADMISSIBLE:
-        warnings.warn(
-            f"mixture weight {m.eps!r} outside the admissible range "
-            f"[0, {_EPS_ADMISSIBLE:.6f}]; the fixed density may not exist",
-            stacklevel=2,
-        )
-    v = np.ones(m.degree + 1)
-    for _ in range(_POWER_ITER_CAP):
-        w = m.entries @ v
-        w = w / float(q @ w)
-        diff = float(np.max(np.abs(w - v)))
-        v = w
-        if diff < _POWER_ITER_TOL:
-            break
-    else:
-        res = float(np.max(np.abs(m.entries @ v - v)))
-        raise ConvergenceError(
-            f"power iteration did not converge in {_POWER_ITER_CAP} steps; "
-            f"last residual {res:.3e}"
-        )
+    if m.eps is not None:
+        warn_if_inadmissible(m.eps)
+    rhs = np.zeros(m.degree + 2)
+    rhs[-1] = 1.0
+    v = _bordered_solve(m, rhs)
     res = float(np.max(np.abs(m.entries @ v - v)))
     if res > _RESIDUAL_LIMIT:
         raise ConvergenceError(f"fixed-point residual {res:.3e} exceeds 1e-12")
@@ -329,24 +269,15 @@ def invariant_density(m):
 def resolvent_solve(m, g):
     """Solve (I - m) u = g on the zero-mean subspace.
 
-    The singular system is augmented with the quadrature row and a
-    constant column; for zero-mean g the bordered solve returns the
-    unique solution with zero mean.  Preconditions: |integral of g|
-    below 1e-10.
+    Solves the bordered system with right-hand side [g; 0]; for
+    zero-mean g it returns the unique solution with zero mean.
+    Preconditions: |integral of g| below 1e-10.
     """
     mean = g.integrate()
     if abs(mean) > 1e-10:
         raise ValueError(f"right-hand side must have zero mean, got {mean:.3e}")
-    n = m.degree + 1
-    q = quadrature_weights(m.degree)
-    B = np.zeros((n + 1, n + 1))
-    B[:n, :n] = np.eye(n) - m.entries
-    B[:n, n] = 1.0
-    B[n, :n] = q
-    rhs = np.concatenate([np.asarray(g.values), [0.0]])
-    sol = np.linalg.solve(B, rhs)
-    u = sol[:n]
-    res = float(np.max(np.abs((np.eye(n) - m.entries) @ u - g.values)))
+    u = _bordered_solve(m, np.append(g.values, 0.0))
+    res = float(np.max(np.abs(u - m.entries @ u - g.values)))
     if res > 1e-9:
         raise ConvergenceError(f"resolvent residual {res:.3e} exceeds 1e-9")
     return ChebFn.from_values(u)

@@ -46,7 +46,6 @@ def _clear_caches():
     transfer_mod._branch_matrix.cache_clear()
     transfer_mod._branch_points.cache_clear()
     transfer_mod._tail_block.cache_clear()
-    transfer_mod._tail_zetas.cache_clear()
 
 
 def test_criterion_01_gauss_fixed_point():

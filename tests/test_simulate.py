@@ -15,6 +15,7 @@ from gaussrenyi import (
     digit_b,
     digit_cells,
     empirical_density,
+    forward,
     gauss_kuzmin,
     simulate_digit_freq,
     step,
@@ -36,6 +37,19 @@ def test_step_examples():
     assert step(1, 1.0) == 0.0
     with pytest.raises(ValueError):
         step(2, 0.5)
+
+
+def test_forward_step_and_kernel_agree():
+    # scalar forward and step and the array kernel are one map step,
+    # bit for bit, including the fixed points x = 0 and x = 1
+    from gaussrenyi.maps import map_step
+
+    xs = np.concatenate([np.random.default_rng(5).random(10**4), [0.0, 1.0]])
+    for bit, kind in ((0, MapKind.GAUSS), (1, MapKind.RENYI)):
+        images, digits = map_step(np.full(xs.size, bit, dtype=np.int8), xs)
+        for x, image, digit in zip(xs.tolist(), images.tolist(), digits.tolist()):
+            assert forward(kind, x) == (image, digit)
+            assert step(bit, x) == image
 
 
 # --------------------------------------------------------------- digit_b
@@ -89,6 +103,19 @@ def test_reproducibility():
     b = simulate_digit_freq(cfg, 30)
     assert np.array_equal(a.counts, b.counts)
     assert a.overflow == b.overflow and a.total == b.total
+
+
+def test_seeded_stream_golden():
+    # counts recorded from the original implementation; pins the seeded stream
+    cfg = SimConfig(eps=0.3, samples=10**4, n_index=20, seed=7)
+    law = simulate_digit_freq(cfg, n_max=30)
+    expected = [
+        3277, 2530, 1108, 602, 414, 301, 207, 173, 123, 101,
+        103, 63, 70, 80, 55, 57, 38, 35, 29, 30,
+        29, 31, 25, 17, 14, 19, 19, 12, 16, 15,
+    ]
+    assert law.counts.tolist() == expected
+    assert law.overflow == 407
 
 
 def test_law_bookkeeping():
@@ -149,11 +176,11 @@ def test_stationarity_kolmogorov_smirnov():
     rng = np.random.default_rng(42)
     samples = 10**6
     x = rng.random(samples)
-    from gaussrenyi.simulate import _step_vec
+    from gaussrenyi.maps import map_step
 
     for _ in range(100):
         bits = np.zeros(samples, dtype=np.int8)
-        x = _step_vec(bits, x)
+        x = map_step(bits, x)[0]
     result = stats.kstest(x, lambda t: np.log2(1.0 + t))
     assert result.pvalue > 0.001
 

@@ -48,6 +48,12 @@ def test_hurwitz_zeta_against_scipy():
             assert abs(hurwitz_zeta(s, q) - special.zeta(s, q)) < 1e-13
     qs = np.array([9.0, 20.0, 400.0])
     assert np.max(np.abs(hurwitz_zeta(3, qs) - special.zeta(3, qs))) < 1e-14
+    # the offsets of the Taylor-tail zetas, a_max + 1 + node
+    for a_max in (8, 256):
+        qs = a_max + 1.0 + chebyshev_nodes(128)
+        for s in range(2, 8):
+            exact = special.zeta(s, qs)
+            assert np.max(np.abs(hurwitz_zeta(s, qs) / exact - 1.0)) < 1e-14
 
 
 def test_hurwitz_zeta_validation():
@@ -199,12 +205,25 @@ def test_invariant_density_warns_outside_admissible(ops32):
         invariant_density(m)
 
 
+def test_invariant_density_rejects_pure_renyi(ops32):
+    # at eps = 1 the Renyi density 1/x is not integrable; no
+    # discretized fixed density passes the contract
+    with pytest.raises(ConvergenceError), pytest.warns(UserWarning, match="admissible"):
+        invariant_density(annealed(1.0, *ops32))
+
+
 def test_invariant_density_rejects_bad_operator():
-    # the negated identity has no fixed density; the iteration settles
-    # on a point whose residual violates the contract
+    # the negated identity has no fixed density; the bordered solve
+    # returns a point whose residual violates the contract
     bad = OperatorMatrix(-np.eye(9), 8, "L0")
     with pytest.raises(ConvergenceError):
         invariant_density(bad)
+
+
+def test_invariant_density_rejects_singular_system():
+    # every density is a fixed point of the identity, so none is singled out
+    with pytest.raises(ConvergenceError, match="singular"):
+        invariant_density(OperatorMatrix(np.eye(9), 8, "L0"))
 
 
 def test_invariant_density_continuity(ops128):
