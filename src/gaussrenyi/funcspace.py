@@ -87,13 +87,8 @@ def quadrature_weights(degree):
 @lru_cache(maxsize=32)
 def derivative_coeff_matrix(degree):
     """Coefficient-space d/dx, padded to square (degree drops by one)."""
-    n = degree
-    D = np.zeros((n + 1, n + 1))
-    for j in range(n + 1):
-        e = np.zeros(n + 1)
-        e[j] = 1.0
-        d = 2.0 * ncheb.chebder(e)  # chain rule for t = 2x - 1
-        D[: len(d), j] = d
+    D = np.zeros((degree + 1, degree + 1))
+    D[:degree] = 2.0 * ncheb.chebder(np.eye(degree + 1), axis=0)  # chain rule for t = 2x - 1
     D.setflags(write=False)
     return D
 

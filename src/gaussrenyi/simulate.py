@@ -15,7 +15,10 @@ n - 1 times and applying the digit function to the resulting state.
 Reproducibility contract: a run is a pure function of the
 configuration.  The generator is numpy's default PCG64 seeded with the
 configured seed; the initial points are drawn first (one uniform per
-sample), then the map choices in simulation order.
+sample), then the map choices: for the digits row-major per orbit, in
+blocks of whole rows (the stream of one (samples, n_index) draw in
+O(samples + block * n_index) memory); for the density one per sample
+per burn-in step.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
 from .maps import MapKind, check_kind, map_step
+
+_BLOCK_ROWS = 1 << 14  # orbits per block of simulate_digit_freq
 
 
 @dataclass(frozen=True)
@@ -134,21 +139,18 @@ def simulate_digit_freq(cfg, n_max=100, first_bit=0):
         raise ValueError(f"first_bit must be 0 or 1: {first_bit!r}")
     rng = np.random.default_rng(cfg.seed)
     x = rng.random(cfg.samples)
-    bits = (rng.random((cfg.samples, cfg.n_index)) < cfg.eps).astype(np.int8)
-    first = np.full(cfg.samples, first_bit, dtype=np.int8)
-    for j in range(cfg.n_index - 1):
-        b = first if j == 0 else bits[:, j - 1]
-        x = map_step(b, x)[0]
-    if cfg.n_index == 1:
-        w1, w2 = first, bits[:, 0]
-    else:
-        w1, w2 = bits[:, cfg.n_index - 2], bits[:, cfg.n_index - 1]
-    k = map_step(w1, x)[1]  # 0 marks the fixed point: digit undefined, overflow
-    digits = np.where(k > 0.0, np.minimum(k + w2, n_max + 1), n_max + 1)
-    binned = np.bincount(digits.astype(np.int64), minlength=n_max + 2)
-    counts = binned[1 : n_max + 1]
-    overflow = int(binned[n_max + 1])
-    return EmpiricalLaw(counts, overflow, cfg.samples)
+    binned = np.zeros(n_max + 2, dtype=np.int64)
+    for start in range(0, cfg.samples, _BLOCK_ROWS):
+        xb = x[start : start + _BLOCK_ROWS]
+        sel = np.empty((xb.size, cfg.n_index + 1), dtype=np.int8)  # row: first_bit, then the choices
+        sel[:, 0] = first_bit
+        sel[:, 1:] = rng.random((xb.size, cfg.n_index)) < cfg.eps
+        for j in range(cfg.n_index - 1):
+            xb = map_step(sel[:, j], xb)[0]
+        k = map_step(sel[:, -2], xb)[1]  # 0 marks the fixed point: digit undefined, overflow
+        digits = np.where(k > 0.0, np.minimum(k + sel[:, -1], n_max + 1), n_max + 1)
+        binned += np.bincount(digits.astype(np.int64), minlength=n_max + 2)
+    return EmpiricalLaw(binned[1:-1], int(binned[-1]), cfg.samples)
 
 
 def empirical_density(cfg, bins=100):

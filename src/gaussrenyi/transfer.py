@@ -38,6 +38,7 @@ import numpy.polynomial.chebyshev as ncheb
 
 from .bounds import hurwitz_zeta, warn_if_inadmissible
 from .funcspace import (
+    SUP_NORM_GRID,
     ChebFn,
     chebyshev_nodes,
     derivative_coeff_matrix,
@@ -260,7 +261,7 @@ def invariant_density(m):
         )
         v = np.where(small_negative, 0.0, v)
     h = ChebFn.from_values(v)
-    grid_min = float(np.min(h(np.linspace(0.0, 1.0, 2049))))
+    grid_min = float(np.min(h(np.linspace(0.0, 1.0, SUP_NORM_GRID))))
     if grid_min < _NEGATIVE_LIMIT:
         raise ConvergenceError(f"density dips to {grid_min:.3e} on the grid")
     return h

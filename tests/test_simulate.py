@@ -105,17 +105,47 @@ def test_reproducibility():
     assert a.overflow == b.overflow and a.total == b.total
 
 
-def test_seeded_stream_golden():
-    # counts recorded from the original implementation; pins the seeded stream
-    cfg = SimConfig(eps=0.3, samples=10**4, n_index=20, seed=7)
-    law = simulate_digit_freq(cfg, n_max=30)
-    expected = [
+# (samples, n_index, n_max, first_bit) -> (counts, overflow), recorded from
+# the original implementation; 100_003 samples span several row blocks and
+# end in a partial one
+_GOLDEN_STREAM = [
+    ((10**4, 20, 30, 0), ([
         3277, 2530, 1108, 602, 414, 301, 207, 173, 123, 101,
         103, 63, 70, 80, 55, 57, 38, 35, 29, 30,
         29, 31, 25, 17, 14, 19, 19, 12, 16, 15,
-    ]
-    assert law.counts.tolist() == expected
-    assert law.overflow == 407
+    ], 407)),
+    ((100_003, 20, 10, 0),
+     ([32382, 24846, 10845, 6364, 4179, 2873, 2251, 1767, 1450, 1154], 11892)),
+    ((100_003, 1, 10, 0),
+     ([35169, 26545, 10826, 6025, 3773, 2715, 1966, 1585, 1197, 971], 9231)),
+    ((100_003, 1, 10, 1),
+     ([34870, 26726, 10820, 6049, 3847, 2614, 1967, 1552, 1172, 1010], 9376)),
+    ((100_003, 2, 10, 1),
+     ([31780, 24770, 11052, 6440, 4298, 3090, 2303, 1821, 1443, 1132], 11874)),
+]
+
+
+def test_seeded_stream_golden():
+    # pins the seeded stream: counts and overflow exactly
+    for (samples, n_index, n_max, first_bit), (expected, overflow) in _GOLDEN_STREAM:
+        cfg = SimConfig(eps=0.3, samples=samples, n_index=n_index, seed=7)
+        law = simulate_digit_freq(cfg, n_max=n_max, first_bit=first_bit)
+        assert law.counts.tolist() == expected, (samples, n_index, first_bit)
+        assert law.overflow == overflow, (samples, n_index, first_bit)
+
+
+def test_digit_freq_memory_is_bounded():
+    # the map choices are streamed in row blocks, never held for all samples
+    import tracemalloc
+
+    cfg = SimConfig(eps=0.3, samples=10**6, n_index=20, seed=5)
+    tracemalloc.start()
+    try:
+        simulate_digit_freq(cfg, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_law_bookkeeping():
