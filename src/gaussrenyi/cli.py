@@ -16,6 +16,10 @@ Output is CSV (default) or JSON with a provenance header that echoes
 the full configuration, so identical invocations produce byte-identical
 files.  Warnings go to stderr, never into the data stream.  Exit codes:
 0 success, 1 invalid configuration, 2 numerical failure.
+
+``_FLAGS`` and ``_COMMANDS`` are the one place a flag is declared: its
+type, help, check and, per subcommand, default and provenance position.
+The parser, the validation and the provenance header are built from them.
 """
 
 from __future__ import annotations
@@ -43,11 +47,27 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; the contract wants 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._report(message))
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
-    def _report(self, message):
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+
+# name -> (type, help, check, message); checked in this order, so with two
+# bad flags the first one listed here is reported
+_FLAGS = {
+    "eps": (float, "Renyi weight", lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
+    "order": (int, "expansion order", lambda v: v >= 1, "must be at least 1"),
+    "degree": (int, "collocation degree", lambda v: v >= 8, "must be at least 8"),
+    "a_max": (int, "explicit branch cutoff", lambda v: v >= 8, "must be at least 8"),
+    "taylor_order": (int, "tail Taylor order", lambda v: 0 <= v <= 4, "must be in 0..4"),
+    "n_max": (int, "last tabulated row", lambda v: v >= 1, "must be at least 1"),
+    "samples": (int, "sample count", lambda v: v >= 1, "must be at least 1"),
+    "n_index": (int, "digit index to record", lambda v: v >= 1, "must be at least 1"),
+    "grid": (int, "output grid points", lambda v: v >= 2, "must be at least 2"),
+    "seed": (int, "generator seed", lambda v: True, ""),
+}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def _fmt(value):
@@ -83,13 +103,14 @@ def _write_table(args, provenance, header, rows):
             fh.write(text)
 
 
-def _base_provenance(args, **extra):
+def _base_provenance(args, **computed):
     prov = {
         "generator": f"gaussrenyi {__version__}",
         "subcommand": args.command,
         "format": args.format,
     }
-    prov.update(extra)
+    prov.update((name, getattr(args, name)) for name in _COMMANDS[args.command][2])
+    prov.update(computed)
     return prov
 
 
@@ -110,17 +131,7 @@ def _cmd_density(args):
     header = ["x", "h0"] + [f"c{n}" for n in range(1, args.order + 1)] + ["h_eps"]
     columns = [xs, h0(xs)] + [c(xs) for c in series.coeffs] + [h_eps(xs)]
     rows = [list(vals) for vals in zip(*columns)]
-    prov = _base_provenance(
-        args,
-        eps=args.eps,
-        order=args.order,
-        degree=args.degree,
-        a_max=args.a_max,
-        taylor_order=args.taylor_order,
-        grid=args.grid,
-        tail_error_bound=tail_error_bound(h0, policy),
-        residual_sup=res,
-    )
+    prov = _base_provenance(args, tail_error_bound=tail_error_bound(h0, policy), residual_sup=res)
     _write_table(args, prov, header, rows)
 
 
@@ -136,16 +147,7 @@ def _cmd_digits(args):
         ["total", float(law.probs.sum()) + law.tail_mass,
          sum(gauss_kuzmin(n) for n in range(1, args.n_max + 1)) + gauss_kuzmin_tail(args.n_max)]
     )
-    prov = _base_provenance(
-        args,
-        eps=args.eps,
-        order=args.order,
-        degree=args.degree,
-        a_max=args.a_max,
-        taylor_order=args.taylor_order,
-        n_max=args.n_max,
-        tail_error_bound=tail_error_bound(h0, policy),
-    )
+    prov = _base_provenance(args, tail_error_bound=tail_error_bound(h0, policy))
     _write_table(args, prov, header, rows)
 
 
@@ -170,10 +172,6 @@ def _cmd_convergence(args):
             rows.append([eps, k, err, res, slope])
     prov = _base_provenance(
         args,
-        order=args.order,
-        degree=args.degree,
-        a_max=args.a_max,
-        taylor_order=args.taylor_order,
         eps_grid=" ".join(str(e) for e in _CONVERGENCE_GRID),
         tail_error_bound=tail_error_bound(h0, policy),
     )
@@ -188,7 +186,7 @@ def _cmd_bounds(args):
             rows.append([1, "", "", "deferred (i=1 case not covered by these bounds)"])
         else:
             rows.append([i, theta_bound(i), c_bound(i), eps_max(i)])
-    prov = _base_provenance(args, n_max=args.n_max)
+    prov = _base_provenance(args)
     _write_table(args, prov, header, rows)
 
 
@@ -205,87 +203,47 @@ def _cmd_simulate(args):
         for n in range(1, args.n_max + 1)
     ]
     rows.append(["overflow", law.overflow, law.overflow / law.total, ""])
-    prov = _base_provenance(
-        args,
-        eps=args.eps,
-        samples=args.samples,
-        n_index=args.n_index,
-        seed=args.seed,
-        n_max=args.n_max,
-    )
+    prov = _base_provenance(args)
     _write_table(args, prov, header, rows)
 
 
-def _add_common(sub, *, eps=False, series=False, n_max=None, sim=False, grid=False):
-    if eps:
-        sub.add_argument("--eps", type=float, default=0.0, help="Renyi weight (default 0)")
-    if series:
-        sub.add_argument("--order", type=int, default=3, help="expansion order (default 3)")
-        sub.add_argument("--degree", type=int, default=128, help="collocation degree (default 128)")
-        sub.add_argument("--a-max", dest="a_max", type=int, default=256,
-                         help="explicit branch cutoff (default 256)")
-        sub.add_argument("--taylor-order", dest="taylor_order", type=int, default=3,
-                         help="tail Taylor order (default 3)")
-    if n_max is not None:
-        sub.add_argument("--n-max", dest="n_max", type=int, default=n_max,
-                         help=f"last tabulated row (default {n_max})")
-    if sim:
-        sub.add_argument("--samples", type=int, default=10**6, help="sample count (default 1e6)")
-        sub.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-        sub.add_argument("--n-index", dest="n_index", type=int, default=20,
-                         help="digit index to record (default 20)")
-    if grid:
-        sub.add_argument("--grid", type=int, default=201,
-                         help="output grid points (default 201)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv",
-                     help="output format (default csv)")
-    sub.add_argument("--out", default="-", help="output path, - for stdout (default)")
+_SERIES = {"order": 3, "degree": 128, "a_max": 256, "taylor_order": 3}
+
+# subcommand -> (handler, help, defaults); a defaults dict lists the
+# subcommand's flags in provenance order
+_COMMANDS = {
+    "density": (_cmd_density, "density expansion on a grid",
+                {"eps": 0.0, **_SERIES, "grid": 201}),
+    "digits": (_cmd_digits, "digit law against Gauss-Kuzmin",
+               {"eps": 0.0, **_SERIES, "n_max": 100}),
+    "convergence": (_cmd_convergence, "order-of-accuracy study", _SERIES),
+    "bounds": (_cmd_bounds, "contraction constants per smoothness index", {"n_max": 8}),
+    "simulate": (_cmd_simulate, "Monte Carlo digit frequencies",
+                 {"eps": 0.0, "samples": 10**6, "n_index": 20, "seed": 0, "n_max": 100}),
+}
 
 
 def _build_parser():
     parser = _Parser(prog="gaussrenyi", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"gaussrenyi {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("density", help="density expansion on a grid")
-    _add_common(p, eps=True, series=True, grid=True)
-    p.set_defaults(func=_cmd_density)
-
-    p = subs.add_parser("digits", help="digit law against Gauss-Kuzmin")
-    _add_common(p, eps=True, series=True, n_max=100)
-    p.set_defaults(func=_cmd_digits)
-
-    p = subs.add_parser("convergence", help="order-of-accuracy study")
-    _add_common(p, series=True)
-    p.set_defaults(func=_cmd_convergence)
-
-    p = subs.add_parser("bounds", help="contraction constants per smoothness index")
-    _add_common(p, n_max=8)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = subs.add_parser("simulate", help="Monte Carlo digit frequencies")
-    _add_common(p, eps=True, n_max=100, sim=True)
-    p.set_defaults(func=_cmd_simulate)
-
+    for command, (_, help_line, defaults) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_line)
+        for name, default in defaults.items():
+            kind, text = _FLAGS[name][:2]
+            sub.add_argument(_flag(name), type=kind, default=default,
+                             help=f"{text} (default {default})")
+        sub.add_argument("--format", choices=("csv", "json"), default="csv",
+                         help="output format (default csv)")
+        sub.add_argument("--out", default="-", help="output path, - for stdout (default)")
     return parser
 
 
 def _validate(args):
-    checks = [
-        ("eps", lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
-        ("order", lambda v: v >= 1, "must be at least 1"),
-        ("degree", lambda v: v >= 8, "must be at least 8"),
-        ("a_max", lambda v: v >= 8, "must be at least 8"),
-        ("taylor_order", lambda v: 0 <= v <= 4, "must be in 0..4"),
-        ("n_max", lambda v: v >= 1, "must be at least 1"),
-        ("samples", lambda v: v >= 1, "must be at least 1"),
-        ("n_index", lambda v: v >= 1, "must be at least 1"),
-        ("grid", lambda v: v >= 2, "must be at least 2"),
-    ]
-    for name, ok, msg in checks:
-        if hasattr(args, name) and getattr(args, name) is not None:
-            if not ok(getattr(args, name)):
-                raise ValueError(f"--{name.replace('_', '-')} {msg}")
+    defaults = _COMMANDS[args.command][2]
+    for name, (_, _, ok, message) in _FLAGS.items():
+        if name in defaults and not ok(getattr(args, name)):
+            raise ValueError(f"{_flag(name)} {message}")
 
 
 def main(argv=None):
@@ -296,7 +254,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else 0
     try:
         _validate(args)
-        args.func(args)
+        _COMMANDS[args.command][0](args)
     except (ValueError, OSError) as exc:
         print(f"gaussrenyi: {exc}", file=sys.stderr)
         return 1

@@ -127,6 +127,45 @@ def test_validation_exit_code(tmp_path, capsys):
     assert main(["digits", "--n-max", "0"]) == 1
     assert main(["nonsense"]) == 1
     capsys.readouterr()
+    # one bad value per other checked flag; stderr names the flag
+    cases = [
+        (["density", "--order", "0"], "--order must be at least 1"),
+        (["density", "--degree", "4"], "--degree must be at least 8"),
+        (["density", "--a-max", "4"], "--a-max must be at least 8"),
+        (["density", "--taylor-order", "5"], "--taylor-order must be in 0..4"),
+        (["simulate", "--samples", "0"], "--samples must be at least 1"),
+        (["simulate", "--n-index", "0"], "--n-index must be at least 1"),
+        (["density", "--grid", "1"], "--grid must be at least 2"),
+        (["bounds", "--n-max", "0"], "--n-max must be at least 1"),
+    ]
+    for args, message in cases:
+        assert main(args) == 1, args
+        assert message in capsys.readouterr().err, args
+
+
+def test_provenance_keys_in_order(tmp_path):
+    series = ["order", "degree", "a_max", "taylor_order"]
+    expected = {
+        "density": ["eps"] + series + ["grid", "tail_error_bound", "residual_sup"],
+        "digits": ["eps"] + series + ["n_max", "tail_error_bound"],
+        "convergence": series + ["eps_grid", "tail_error_bound"],
+        "bounds": ["n_max"],
+        "simulate": ["eps", "samples", "n_index", "seed", "n_max"],
+    }
+    fast = {
+        "density": ["--grid", "3"] + FAST,
+        "digits": ["--n-max", "3"] + FAST,
+        "convergence": FAST,
+        "bounds": ["--n-max", "2"],
+        "simulate": ["--samples", "100", "--n-index", "1", "--n-max", "3"],
+    }
+    for command, keys in expected.items():
+        code, out = run(tmp_path, f"{command}.csv", [command] + fast[command])
+        assert code == 0
+        lines = [line for line in out.read_text().splitlines() if line.startswith("# ")]
+        assert [line[2:].partition(": ")[0] for line in lines] == (
+            ["generator", "subcommand", "format"] + keys
+        ), command
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
