@@ -28,6 +28,11 @@ def check_kind(kind):
         raise TypeError(f"not a MapKind: {kind!r}")
 
 
+def check_unit(name, value):
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} outside [0, 1]: {value!r}")
+
+
 def map_step(bits, x):
     """Gauss (bit 0) or Renyi (bit 1) step on arrays; returns (image, digit).
 
@@ -48,8 +53,7 @@ def forward(kind, x):
     The digit is floor(1/x) for Gauss and floor(1/(1-x)) for Renyi, with
     the fixed-point conventions of :func:`map_step`.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x outside [0, 1]: {x!r}")
+    check_unit("x", x)
     check_kind(kind)
     image, digit = map_step(int(kind is MapKind.RENYI), x)
     return float(image), int(digit)
@@ -58,20 +62,17 @@ def forward(kind, x):
 def inverse_branch(kind, a, y):
     """Inverse of the a-th branch: 1/(a+y) for Gauss, 1 - 1/(a+y) for Renyi."""
     _check_branch(a)
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"y outside [0, 1]: {y!r}")
+    check_unit("y", y)
+    check_kind(kind)
     if kind is MapKind.GAUSS:
         return 1.0 / (a + y)
-    if kind is MapKind.RENYI:
-        return 1.0 - 1.0 / (a + y)
-    raise TypeError(f"not a MapKind: {kind!r}")
+    return 1.0 - 1.0 / (a + y)
 
 
 def branch_derivative(kind, a, y):
     """|V'| of the a-th inverse branch, 1/(a+y)^2 for both map kinds."""
     _check_branch(a)
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"y outside [0, 1]: {y!r}")
+    check_unit("y", y)
     check_kind(kind)
     return 1.0 / (a + y) ** 2
 
@@ -92,8 +93,7 @@ def two_step_derivative(p, q, n, k, x, order=1):
         raise ValueError("map selectors must be 0 or 1")
     _check_branch(n)
     _check_branch(k)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x outside [0, 1]: {x!r}")
+    check_unit("x", x)
     if order < 1:
         raise ValueError("derivative order must be at least 1")
     i = order

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
-from .maps import MapKind, check_kind, map_step
+from .maps import MapKind, check_kind, check_unit, map_step
 
 _BLOCK_ROWS = 1 << 14  # orbits per block of simulate_digit_freq
 
@@ -96,8 +96,7 @@ def step(omega_bit, x):
     """One application of the selected map, scalar version."""
     if omega_bit not in (0, 1):
         raise ValueError(f"map selector must be 0 or 1: {omega_bit!r}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x outside [0, 1]: {x!r}")
+    check_unit("x", x)
     return float(map_step(omega_bit, x)[0])
 
 
@@ -106,8 +105,7 @@ def digit_b(omega1, omega2, x):
     in the k-th Gauss cell (1/(k+1), 1/k]."""
     if omega1 not in (0, 1) or omega2 not in (0, 1):
         raise ValueError("map selectors must be 0 or 1")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x outside [0, 1]: {x!r}")
+    check_unit("x", x)
     z = 1.0 - x if omega1 == 1 else x
     if z == 0.0:
         raise ValueError("digit undefined at the branch accumulation point")
@@ -184,8 +182,7 @@ def brute_force_transfer(kind, f, y, a_huge=10**6):
     check_kind(kind)
     if a_huge < 10**5:
         raise ValueError(f"a_huge must be at least 1e5: {a_huge!r}")
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"y outside [0, 1]: {y!r}")
+    check_unit("y", y)
     total = 0.0
     chunk = 200000
     for start in range(1, a_huge + 1, chunk):

@@ -13,8 +13,10 @@ x = 1 for Renyi); the tail coefficient sums collapse to Hurwitz zeta
 values zeta(s, a_max + 1 + y).
 
 Discretization collocates the operator on the Chebyshev-Lobatto nodes,
-giving a dense matrix acting on node values.  A rank-one correction in
-the constant direction restores exact mass conservation (q @ M == q for
+giving a dense matrix acting on node values, built once per map,
+degree and tail policy; :func:`apply_transfer` applies it and
+:func:`assemble_operator` returns it.  A rank-one correction in the
+constant direction restores exact mass conservation (q @ M == q for
 the quadrature weights q), which the Taylor tail alone cannot provide
 uniformly over the polynomial space; the correction moves node values
 by at most the tail-model mass deficit, so it stays within the reported
@@ -92,22 +94,6 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", e)
 
 
-@lru_cache(maxsize=16)
-def _branch_points(kind, degree, a_max):
-    """Pulled-back nodes V_a(y) and weights 1/(a+y)^2 for a = 1..a_max."""
-    y = chebyshev_nodes(degree)
-    a = np.arange(1, a_max + 1, dtype=float)[:, None]
-    w = 1.0 / (a + y[None, :]) ** 2
-    if kind is MapKind.GAUSS:
-        pts = 1.0 / (a + y[None, :])
-    else:
-        pts = 1.0 - 1.0 / (a + y[None, :])
-    pts.setflags(write=False)
-    w.setflags(write=False)
-    return pts, w
-
-
-@lru_cache(maxsize=16)
 def _tail_block(kind, degree, a_max, m):
     """Tail operator on node values: rank m+1, built from endpoint jets."""
     xstar = 0.0 if kind is MapKind.GAUSS else 1.0
@@ -125,19 +111,28 @@ def _tail_block(kind, degree, a_max, m):
             fact *= t
         jet_row = estar @ P @ C  # node values -> f^(t)(xstar)
         T += np.outer(sign**t / fact * hurwitz_zeta(t + 2, q), jet_row)
-    T.setflags(write=False)
     return T
 
 
 @lru_cache(maxsize=16)
-def _branch_matrix(kind, degree, a_max):
-    """Explicit-branch part of the collocation matrix."""
-    pts, w = _branch_points(kind, degree, a_max)
+def _collocation_matrix(kind, degree, a_max, taylor_order):
+    """Read-only collocation matrix: explicit branches a <= a_max, tail, mass fix."""
+    y = chebyshev_nodes(degree)
+    a = np.arange(1, a_max + 1, dtype=float)[:, None]
+    w = 1.0 / (a + y[None, :]) ** 2
+    if kind is MapKind.GAUSS:
+        pts = 1.0 / (a + y[None, :])
+    else:
+        pts = 1.0 - 1.0 / (a + y[None, :])
     n = degree + 1
     V = ncheb.chebvander(2.0 * pts.ravel() - 1.0, degree).reshape(a_max, n, n)
-    B = np.einsum("ai,aij->ij", w, V) @ values_to_coeffs_matrix(degree)
-    B.setflags(write=False)
-    return B
+    M = np.einsum("ai,aij->ij", w, V) @ values_to_coeffs_matrix(degree)
+    M = M + _tail_block(kind, degree, a_max, taylor_order)
+    # rank-one mass restoration (q @ M == q), within the tail error bound
+    q = quadrature_weights(degree)
+    M = M + np.outer(np.ones(n), q - q @ M)
+    M.setflags(write=False)
+    return M
 
 
 def tail_error_bound(f, policy=None):
@@ -166,19 +161,14 @@ def apply_transfer(kind, f, policy=None):
 
     Returns
     -------
-    ChebFn interpolating the image at the collocation nodes.  The tail
+    ChebFn interpolating the image at the collocation nodes, the cached
+    collocation matrix applied to the node values of f.  The tail
     error bound is checked and a TailBoundWarning is emitted when it
     exceeds 1e-8.
     """
     check_kind(kind)
     policy = policy if policy is not None else TailPolicy()
-    pts, w = _branch_points(kind, f.degree, policy.a_max)
-    vals = ncheb.chebval(2.0 * pts - 1.0, f.coeffs)
-    g = np.einsum("ai,ai->i", w, vals)
-    g = g + _tail_block(kind, f.degree, policy.a_max, policy.taylor_order) @ f.values
-    # rank-one mass restoration, within the tail error bound
-    q = quadrature_weights(f.degree)
-    g = g + (f.integrate() - float(q @ g))
+    M = _collocation_matrix(kind, f.degree, policy.a_max, policy.taylor_order)
     bound = tail_error_bound(f, policy)
     if bound > 1e-8:
         warnings.warn(
@@ -187,26 +177,22 @@ def apply_transfer(kind, f, policy=None):
             TailBoundWarning,
             stacklevel=2,
         )
-    return ChebFn.from_values(g)
+    return ChebFn.from_values(M @ f.values)
 
 
 def assemble_operator(kind, degree=128, policy=None):
     """Collocation matrix of the transfer operator at the given degree.
 
     Column j holds the node values of the operator applied to the j-th
-    nodal cardinal function; the assembly uses the same branch and tail
-    blocks as :func:`apply_transfer`, plus the rank-one mass fix, so the
-    two code paths agree to rounding.
+    nodal cardinal function: the explicit branches, the tail block and
+    the rank-one mass fix.  This is the matrix :func:`apply_transfer`
+    applies.
     """
     check_kind(kind)
     if degree < 8:
         raise ValueError(f"degree must be at least 8: {degree!r}")
     policy = policy if policy is not None else TailPolicy()
-    M = _branch_matrix(kind, degree, policy.a_max) + _tail_block(
-        kind, degree, policy.a_max, policy.taylor_order
-    )
-    q = quadrature_weights(degree)
-    M = M + np.outer(np.ones(degree + 1), q - q @ M)
+    M = _collocation_matrix(kind, degree, policy.a_max, policy.taylor_order)
     label = "L0" if kind is MapKind.GAUSS else "L1"
     return OperatorMatrix(M, degree, label)
 

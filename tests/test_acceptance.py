@@ -43,9 +43,7 @@ LN2 = math.log(2.0)
 
 
 def _clear_caches():
-    transfer_mod._branch_matrix.cache_clear()
-    transfer_mod._branch_points.cache_clear()
-    transfer_mod._tail_block.cache_clear()
+    transfer_mod._collocation_matrix.cache_clear()
 
 
 def test_criterion_01_gauss_fixed_point():
@@ -56,6 +54,9 @@ def test_criterion_01_gauss_fixed_point():
     residual = norm_sup(apply_transfer(MapKind.GAUSS, h0) - h0)
     elapsed = time.perf_counter() - start
     assert residual < 1e-10, f"fixed-point residual {residual:.3e}"
+    # independent of the operator: the closed-form Gauss density
+    exact = norm_sup(h0 - ChebFn.from_callable(lambda x: 1.0 / ((1.0 + x) * LN2), 128))
+    assert exact < 1e-10, f"distance to 1/((1+x) ln 2) {exact:.3e}"
     assert elapsed < 5.0, f"runtime {elapsed:.2f}s exceeds 5s"
     print(f"criterion 1 PASS: |L0 h0 - h0|_sup = {residual:.2e} in {elapsed:.2f}s")
 

@@ -241,13 +241,18 @@ def test_brute_force_matches_tail_model():
     rng = np.random.default_rng(13)
     a_huge = 10**6
     f = random_smooth_fn(rng, degree=32, decay=0.5)
-    g = apply_transfer(MapKind.GAUSS, f)
     bound = tail_error_bound(f)
-    # the truncated sum misses roughly f(0) / a_huge of tail mass
-    slack = 1e-9 + 1.1 * abs(f(0.0)) / a_huge + bound
-    for y in np.linspace(0.0, 1.0, 20):
-        direct = brute_force_transfer(MapKind.GAUSS, f, float(y), a_huge)
-        assert abs(direct - g(float(y))) < slack
+    # the truncated sum misses roughly f(x*) / a_huge of tail mass, where
+    # x* = 0 (Gauss) or 1 (Renyi) is the branch accumulation point
+    for kind, xstar, points in (
+        (MapKind.GAUSS, 0.0, 20),
+        (MapKind.RENYI, 1.0, 5),
+    ):
+        g = apply_transfer(kind, f)
+        slack = 1e-9 + 1.1 * abs(f(xstar)) / a_huge + bound
+        for y in np.linspace(0.0, 1.0, points):
+            direct = brute_force_transfer(kind, f, float(y), a_huge)
+            assert abs(direct - g(float(y))) < slack
 
 
 def test_brute_force_renyi_gauss_density(h0_128):
