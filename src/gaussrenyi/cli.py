@@ -15,7 +15,7 @@ simulate     Monte Carlo digit frequencies
 Output is CSV (default) or JSON with a provenance header that echoes
 the full configuration, so identical invocations produce byte-identical
 files.  Warnings go to stderr, never into the data stream.  Exit codes:
-0 success, 1 invalid configuration, 2 numerical failure.
+0 success, 1 invalid configuration (or one too large to allocate), 2 numerical failure.
 
 ``_FLAGS`` and ``_COMMANDS`` are the one place a flag is declared: its
 type, help, check and, per subcommand, default and provenance position.
@@ -255,7 +255,7 @@ def main(argv=None):
     try:
         _validate(args)
         _COMMANDS[args.command][0](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"gaussrenyi: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -2,8 +2,9 @@
 
 A :class:`ChebFn` stores the coefficients of a polynomial interpolant
 through the Chebyshev-Lobatto points mapped to [0, 1].  For analytic
-functions the representation converges geometrically in the degree, so
-a moderate default degree (128) already saturates double precision.
+functions the representation converges geometrically in the degree; at
+the default degree 128 the largest of the last 8 coefficients of the fixed
+density h_eps is 7e-14 at eps 0.9, 1.1e-10 at 0.95 and 7.8e-6 at 0.99.
 Evaluation uses the Clenshaw recurrence, integration and
 differentiation act exactly on the coefficient space.
 
@@ -82,15 +83,6 @@ def quadrature_weights(degree):
     out = integral_row(degree) @ values_to_coeffs_matrix(degree)
     out.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=32)
-def derivative_coeff_matrix(degree):
-    """Coefficient-space d/dx, padded to square (degree drops by one)."""
-    D = np.zeros((degree + 1, degree + 1))
-    D[:degree] = 2.0 * ncheb.chebder(np.eye(degree + 1), axis=0)  # chain rule for t = 2x - 1
-    D.setflags(write=False)
-    return D
 
 
 def _check_domain(x):

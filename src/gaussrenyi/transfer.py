@@ -18,9 +18,10 @@ degree and tail policy; :func:`apply_transfer` applies it and
 :func:`assemble_operator` returns it.  A rank-one correction in the
 constant direction restores exact mass conservation (q @ M == q for
 the quadrature weights q), which the Taylor tail alone cannot provide
-uniformly over the polynomial space; the correction moves node values
-by at most the tail-model mass deficit, so it stays within the reported
-tail error bound.
+uniformly over the polynomial space.  It moves the image of f by
+|(q - q @ M) . f| (M before the fix), which the tail error bound does
+not bound: max|q - q @ M| is 4.58 at the default policy (256, 3) and
+1.5e-2 at (64, 0); on the Gauss density at degree 128 the move is 1e-13.
 
 The annealed operator of the random system choosing Gauss with
 probability 1 - eps and Renyi with probability eps is the convex
@@ -31,19 +32,18 @@ system [[I - M, 1], [q, 0]], for right-hand sides [0; 1] and [g; 0].
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import numpy.polynomial.chebyshev as ncheb
 
 from .bounds import hurwitz_zeta, warn_if_inadmissible
 from .funcspace import (
     SUP_NORM_GRID,
     ChebFn,
     chebyshev_nodes,
-    derivative_coeff_matrix,
     norm_sup,
     quadrature_weights,
     values_to_coeffs_matrix,
@@ -94,29 +94,12 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", e)
 
 
-def _tail_block(kind, degree, a_max, m):
-    """Tail operator on node values: rank m+1, built from endpoint jets."""
-    xstar = 0.0 if kind is MapKind.GAUSS else 1.0
-    sign = 1.0 if kind is MapKind.GAUSS else -1.0
-    C = values_to_coeffs_matrix(degree)
-    Dc = derivative_coeff_matrix(degree)
-    estar = ncheb.chebvander(np.array([2.0 * xstar - 1.0]), degree)[0]
-    q = a_max + 1.0 + chebyshev_nodes(degree)
-    T = np.zeros((degree + 1, degree + 1))
-    P = np.eye(degree + 1)
-    fact = 1.0
-    for t in range(m + 1):
-        if t > 0:
-            P = Dc @ P
-            fact *= t
-        jet_row = estar @ P @ C  # node values -> f^(t)(xstar)
-        T += np.outer(sign**t / fact * hurwitz_zeta(t + 2, q), jet_row)
-    return T
-
-
 @lru_cache(maxsize=16)
 def _collocation_matrix(kind, degree, a_max, taylor_order):
-    """Read-only collocation matrix: explicit branches a <= a_max, tail, mass fix."""
+    """Read-only collocation matrix: explicit branches a <= a_max, tail, mass fix.
+
+    Built column by column in O(a_max * degree) memory, with exact endpoint jets.
+    """
     y = chebyshev_nodes(degree)
     a = np.arange(1, a_max + 1, dtype=float)[:, None]
     w = 1.0 / (a + y[None, :]) ** 2
@@ -125,12 +108,29 @@ def _collocation_matrix(kind, degree, a_max, taylor_order):
     else:
         pts = 1.0 - 1.0 / (a + y[None, :])
     n = degree + 1
-    V = ncheb.chebvander(2.0 * pts.ravel() - 1.0, degree).reshape(a_max, n, n)
-    M = np.einsum("ai,aij->ij", w, V) @ values_to_coeffs_matrix(degree)
-    M = M + _tail_block(kind, degree, a_max, taylor_order)
-    # rank-one mass restoration (q @ M == q), within the tail error bound
+    t = 2.0 * pts - 1.0
+    two_t = 2.0 * t
+    B = np.empty((n, n))  # coefficient space: column k is sum_a w_a T_k(t_a)
+    T_prev, T = t, np.ones_like(t)  # T_{-1} = T_1, so T_1 = 2t - t
+    for k in range(n):
+        B[:, k] = (w * T).sum(0)
+        T_prev, T = T, T * two_t - T_prev
+    # tail: Taylor jets of f at x* = 0 (Gauss) or 1 (Renyi), t* = 2x* - 1 = -sign;
+    # d^j/dx^j T_k(2x - 1) at x* is t*^(k+j) 2^j prod_{i<j} (k^2 - i^2)/(2i + 1)
+    sign = 1.0 if kind is MapKind.GAUSS else -1.0
+    k = np.arange(n)
+    jet = (-sign) ** k
+    C = values_to_coeffs_matrix(degree)
+    tail = np.zeros((n, n))
+    for j in range(taylor_order + 1):
+        zeta = sign**j / math.factorial(j) * hurwitz_zeta(j + 2, a_max + 1.0 + y)
+        tail += np.outer(zeta, jet @ C)
+        jet = -sign * 2.0 * jet * (k * k - j * j) / (2 * j + 1)
+    # the tail stays in node space: folded into B before @ C it loses accuracy
+    M = B @ C + tail
+    # rank-one mass restoration (q @ M == q); it moves f by |(q - q @ M) . f|
     q = quadrature_weights(degree)
-    M = M + np.outer(np.ones(n), q - q @ M)
+    M += q - q @ M
     M.setflags(write=False)
     return M
 

@@ -143,6 +143,15 @@ def test_validation_exit_code(tmp_path, capsys):
         assert message in capsys.readouterr().err, args
 
 
+def test_unallocatable_configuration_exit_code(capsys):
+    # 10^15 samples need 7 PiB: the allocation fails at once, before any work
+    assert main(["simulate", "--samples", str(10**15)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("gaussrenyi: "), lines
+
+
 def test_provenance_keys_in_order(tmp_path):
     series = ["order", "degree", "a_max", "taylor_order"]
     expected = {

@@ -98,24 +98,6 @@ def test_derivative_degree():
     assert ChebFn.constant(2.0).derivative().degree == 0
 
 
-def test_derivative_coeff_matrix_columns():
-    # column j is the coefficient-space derivative of T_j(2x - 1), padded
-    import numpy.polynomial.chebyshev as ncheb
-
-    from gaussrenyi.funcspace import derivative_coeff_matrix
-
-    for degree in (8, 32, 128):
-        D = derivative_coeff_matrix(degree)
-        assert D.shape == (degree + 1, degree + 1)
-        for j in range(degree + 1):
-            e = np.zeros(degree + 1)
-            e[j] = 1.0
-            expected = np.zeros(degree + 1)
-            d = 2.0 * ncheb.chebder(e)
-            expected[: d.size] = d
-            assert np.array_equal(D[:, j], expected)
-
-
 def test_norm_sup_gauss_density():
     f = ChebFn.from_callable(gauss_density, degree=64)
     # maximum of the closed form sits at x = 0

@@ -89,6 +89,17 @@ def test_transfer_of_one_is_trigamma():
     assert abs(g(0.0) - math.pi**2 / 6) < 1e-10
     ys = chebyshev_nodes(32)
     assert np.max(np.abs(g(ys) - special.polygamma(1, 1.0 + ys))) < 1e-12
+    # both maps send their monomial in the distance to the accumulation
+    # point, x^j (Gauss) and (1 - x)^j (Renyi), to zeta(j + 2, 1 + y); the
+    # order-3 tail model is exact on these
+    for degree in (32, 128):
+        ys = chebyshev_nodes(degree)
+        for j in range(4):
+            exact = special.zeta(j + 2, 1.0 + ys)
+            for kind, mono in ((MapKind.GAUSS, lambda x: x**j),
+                               (MapKind.RENYI, lambda x: (1.0 - x) ** j)):
+                image = apply_transfer(kind, ChebFn.from_callable(mono, degree))
+                assert np.max(np.abs(image.values / exact - 1.0)) < 1e-12, (degree, j, kind)
 
 
 def test_mass_conservation_random_functions():
@@ -148,6 +159,22 @@ def test_matrix_agrees_with_apply(ops128):
                 direct = apply_transfer(kind, f)
             via_matrix = m.entries @ f.values
             assert np.max(np.abs(via_matrix - direct.values)) < 1e-11
+
+
+def test_assembly_memory_is_bounded():
+    # the branch block is built column by column, never as an (a_max, n, n) array
+    import tracemalloc
+
+    from gaussrenyi import transfer as transfer_mod
+
+    transfer_mod._collocation_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        assemble_operator(MapKind.RENYI, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_assemble_validation():
