@@ -44,6 +44,7 @@ from .funcspace import (
     SUP_NORM_GRID,
     ChebFn,
     chebyshev_nodes,
+    chop_length,
     norm_sup,
     quadrature_weights,
     values_to_coeffs_matrix,
@@ -136,10 +137,15 @@ def _collocation_matrix(kind, degree, a_max, taylor_order):
 
 
 def tail_error_bound(f, policy=None):
-    """Bound on the tail-model error for f: zeta(m+3, a_max+1) sup|f^(m+1)| / (m+1)!."""
+    """Bound on the tail-model error for f: zeta(m+3, a_max+1) sup|f^(m+1)| / (m+1)!.
+
+    The derivative is taken of f chopped at its standardChop plateau, so
+    the rounding noise in the top coefficients, which differentiation
+    amplifies like k^(2m+2), does not enter the bound.
+    """
     policy = policy if policy is not None else TailPolicy()
     m = policy.taylor_order
-    g = f
+    g = ChebFn(f.coeffs[: chop_length(f.coeffs)])
     fact = 1.0
     for t in range(1, m + 2):
         g = g.derivative()

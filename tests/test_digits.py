@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import numpy.polynomial.chebyshev as ncheb
 import pytest
 
 from gaussrenyi import (
@@ -145,6 +146,24 @@ def test_law_at_zero_is_gauss_kuzmin(series3):
     expected = np.array([gauss_kuzmin(n) for n in range(1, 31)])
     assert np.max(np.abs(law.probs - expected)) < 1e-12
     assert law.order == 3 and law.eps == 0.0
+
+
+def test_law_matches_point_queries_exactly(series3):
+    for eps in (0.05, 0.3):
+        law = digit_law(eps, series3, 200)
+        for n in range(1, 21):
+            assert law.probs[n - 1] == digit_probability(n, eps, series3), (eps, n)
+
+
+def test_law_avoids_numpy_chebint(series3, monkeypatch):
+    # the antiderivative is built once per density without numpy's
+    # per-coefficient Python loop
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy chebint called")
+
+    monkeypatch.setattr(ncheb, "chebint", refuse)
+    law = digit_law(0.1, series3, 50)
+    assert law.probs.shape == (50,)
 
 
 def test_law_tail(series3):

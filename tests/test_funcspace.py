@@ -3,9 +3,11 @@
 import math
 
 import numpy as np
+import numpy.polynomial.chebyshev as ncheb
 import pytest
 
 from gaussrenyi import ChebFn, chebyshev_nodes, linear_combo, norm_cl, norm_sup
+from gaussrenyi.funcspace import chop_length
 
 from conftest import random_smooth_fn
 
@@ -47,6 +49,10 @@ def test_eval_domain_error():
         f(1.5)
     with pytest.raises(ValueError):
         f(np.array([0.2, -0.1]))
+    with pytest.raises(ValueError):
+        f(float("nan"))
+    with pytest.raises(ValueError):
+        f(np.array([0.2, float("nan")]))
 
 
 def test_from_callable_rejects_non_finite():
@@ -71,6 +77,42 @@ def test_integrate_on_examples():
     assert abs(f.integrate_on(1.0 / 5, 1.0 / 4) - math.log(25 / 24) / LN2) < 1e-13
     assert abs(math.log(36 / 35) / LN2 - 0.0406420) < 1e-7
     assert abs(math.log(25 / 24) / LN2 - 0.0588937) < 1e-7
+
+
+def test_fast_paths_bit_identical_to_numpy():
+    # scalar evaluation and integrate_on run their own Clenshaw loop on
+    # Python floats; they must give numpy's bits, not just numpy's values
+    rng = np.random.default_rng(41)
+    xs = [0.0, 1.0, 1.0 / 3.0] + sorted(rng.uniform(0.0, 1.0, 50).tolist())
+    for degree in (0, 1, 2, 3, 8, 128):
+        c = rng.standard_normal(degree + 1)
+        f = ChebFn(c)
+        anti = 0.5 * ncheb.chebint(c)
+        for x in xs:
+            assert f(x) == ncheb.chebval(2.0 * x - 1.0, c), (degree, x)
+        for lo, hi in zip(xs, xs[1:] + [1.0]):
+            lo, hi = min(lo, hi), max(lo, hi)
+            expected = float(
+                ncheb.chebval(2.0 * hi - 1.0, anti) - ncheb.chebval(2.0 * lo - 1.0, anti)
+            )
+            assert f.integrate_on(lo, hi) == expected, (degree, lo, hi)
+
+
+def test_chop_length():
+    assert chop_length(np.ones(16)) == 16  # too short to judge
+    assert chop_length(np.zeros(40)) == 1
+    assert chop_length(np.ones(40)) == 40  # no plateau
+    # geometric decay to rounding level, then a noise plateau
+    rng = np.random.default_rng(43)
+    c = 0.5 ** np.arange(100) + 1e-17 * rng.standard_normal(100)
+    n = chop_length(c)
+    assert 45 <= n <= 56 and abs(c[n]) < 2e-16
+    # the interpolant of the Gauss density decays like 0.17^k onto a
+    # rounding plateau near 4e-15; the chop lands at its foot
+    for degree in (64, 128, 256):
+        c = ChebFn.from_callable(gauss_density, degree).coeffs
+        n = chop_length(c)
+        assert n < 25 and np.max(np.abs(c[n:])) < 1e-13, (degree, n)
 
 
 def test_integrate_on_domain_errors():

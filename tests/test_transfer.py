@@ -124,6 +124,20 @@ def test_positivity():
             assert np.min(g.values) > -bound - 1e-13
 
 
+def test_tail_error_bound_ignores_rounding_noise():
+    # for h0 = 1/((1+x) ln 2) the bound is zeta(6, 257) sup|h0^(4)| / 4!
+    # with sup|h0^(4)| = 24 / ln 2 at x = 0, at every degree; without the
+    # chop, differentiating the rounding noise gave 3.3e-13 at degree 128
+    # and 8.5e-11 at degree 256
+    exact = special.zeta(6, 257) / LN2
+    rng = np.random.default_rng(31)
+    for degree in (64, 128, 256):
+        f = gauss_density_fn(degree)
+        assert abs(tail_error_bound(f) / exact - 1.0) < 1e-5, degree
+        noisy = ChebFn.from_values(f.values + 2e-14 * rng.standard_normal(degree + 1))
+        assert abs(tail_error_bound(noisy) / exact - 1.0) < 1e-5, degree
+
+
 def test_tail_bound_warning():
     rough = ChebFn.from_callable(lambda x: math.cos(40 * math.pi * x), 128)
     with pytest.warns(TailBoundWarning):
