@@ -14,7 +14,11 @@ simulate     Monte Carlo digit frequencies
 
 Output is CSV (default) or JSON with a provenance header that echoes
 the full configuration, so identical invocations produce byte-identical
-files.  Warnings go to stderr, never into the data stream.  Exit codes:
+files.  The ``tail_error_bound`` header field is
+:func:`gaussrenyi.transfer.tail_error_bound` of the base density: it
+bounds the tail model on the density chopped at its rounding plateau,
+not the rounding-level content.  Warnings go to stderr, never into the
+data stream.  Exit codes:
 0 success, 1 invalid configuration (or one too large to allocate), 2 numerical failure.
 
 ``_FLAGS`` and ``_COMMANDS`` are the one place a flag is declared: its

@@ -6,11 +6,12 @@ functions the representation converges geometrically in the degree; at
 the default degree 128 the largest of the last 8 coefficients of the fixed
 density h_eps is 7e-14 at eps 0.9, 1.1e-10 at 0.95 and 7.8e-6 at 0.99.
 Evaluation uses the Clenshaw recurrence, integration and
-differentiation act exactly on the coefficient space.  Scalar evaluation
-and :meth:`ChebFn.integrate_on` run the recurrence on Python floats, in
-numpy's order of operations, so they give numpy's bits at a fraction of
-its per-call cost; the antiderivative behind ``integrate_on`` is built
-once per function and cached, like the node values.
+differentiation act exactly on the coefficient space.  Evaluation and
+:meth:`ChebFn.integrate_on` run the recurrence with the coefficients as
+Python floats, in numpy's order of operations, so they give numpy's
+``chebval`` bits; a scalar argument costs only its arithmetic.  The
+antiderivative behind ``integrate_on`` is built once per function and
+cached, like the node values.
 
 All objects are immutable values; every operation returns a new
 function.  This makes concurrent read access safe without locking.
@@ -98,7 +99,11 @@ def _check_domain(x):
 
 
 def _clenshaw(c, x):
-    """numpy's ``chebval`` loop on a list of Python floats: the same bits, faster."""
+    """numpy's ``chebval`` loop on a list of Python floats: the same bits.
+
+    ``x`` is a float or an array; on a float the loop runs at the cost of
+    its arithmetic, on an array it does numpy's elementwise operations.
+    """
     if len(c) == 1:
         return c[0] + 0 * x
     c0, c1 = c[-2], c[-1]
@@ -203,9 +208,8 @@ class ChebFn:
 
     def __call__(self, x):
         arr = _check_domain(x)
-        if np.isscalar(x) or arr.ndim == 0:
-            return _clenshaw(self._coeffs.tolist(), 2.0 * float(arr) - 1.0)
-        return ncheb.chebval(2.0 * arr - 1.0, self._coeffs)
+        t = 2.0 * float(arr) - 1.0 if (np.isscalar(x) or arr.ndim == 0) else 2.0 * arr - 1.0
+        return _clenshaw(self._coeffs.tolist(), t)
 
     def integrate(self):
         """Integral over [0, 1], exact on the polynomial space."""

@@ -137,11 +137,16 @@ def _collocation_matrix(kind, degree, a_max, taylor_order):
 
 
 def tail_error_bound(f, policy=None):
-    """Bound on the tail-model error for f: zeta(m+3, a_max+1) sup|f^(m+1)| / (m+1)!.
+    """Tail-model error bound for the resolved part g of f: zeta(m+3, a_max+1) sup|g^(m+1)| / (m+1)!.
 
-    The derivative is taken of f chopped at its standardChop plateau, so
+    g is f chopped at its standardChop plateau (:func:`chop_length`), so
     the rounding noise in the top coefficients, which differentiation
-    amplifies like k^(2m+2), does not enter the bound.
+    amplifies like k^(2m+2), does not enter the bound.  The bound excludes
+    that rounding-level content and what the assembled tail does with it:
+    the tail reads f's endpoint jet from all coefficients, with weights
+    growing like k^(2m).  For the interpolant of the exact Gauss density
+    at degree 256 the bound reads 2.6e-13, while the operator moves it by
+    |M h0 - h0| = 5.7e-12 before the mass fix.
     """
     policy = policy if policy is not None else TailPolicy()
     m = policy.taylor_order
@@ -169,8 +174,8 @@ def apply_transfer(kind, f, policy=None):
     -------
     ChebFn interpolating the image at the collocation nodes, the cached
     collocation matrix applied to the node values of f.  The tail
-    error bound is checked and a TailBoundWarning is emitted when it
-    exceeds 1e-8.
+    error bound of the chopped f (:func:`tail_error_bound`) is checked
+    and a TailBoundWarning is emitted when it exceeds 1e-8.
     """
     check_kind(kind)
     policy = policy if policy is not None else TailPolicy()

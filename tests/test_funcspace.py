@@ -90,6 +90,9 @@ def test_fast_paths_bit_identical_to_numpy():
         anti = 0.5 * ncheb.chebint(c)
         for x in xs:
             assert f(x) == ncheb.chebval(2.0 * x - 1.0, c), (degree, x)
+        for arr in (np.array(xs), np.array(xs[:52]).reshape(4, 13)):
+            got, expected = f(arr), ncheb.chebval(2.0 * arr - 1.0, c)
+            assert got.shape == expected.shape and np.all(got == expected), degree
         for lo, hi in zip(xs, xs[1:] + [1.0]):
             lo, hi = min(lo, hi), max(lo, hi)
             expected = float(
