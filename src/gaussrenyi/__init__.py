@@ -41,7 +41,6 @@ from .maps import MapKind, branch_derivative, forward, inverse_branch, two_step_
 from .perturbation import (
     PerturbationSeries,
     density_derivative,
-    evaluate_series,
     mixture_forcing_terms,
     mixture_series,
     residual,
@@ -55,7 +54,6 @@ from .simulate import (
     digit_b,
     empirical_density,
     simulate_digit_freq,
-    step,
 )
 from .transfer import (
     ConvergenceError,
@@ -103,7 +101,6 @@ __all__ = [
     "digit_probability",
     "empirical_density",
     "eps_max",
-    "evaluate_series",
     "even_zeta",
     "forward",
     "gauss_kuzmin",
@@ -122,7 +119,6 @@ __all__ = [
     "residual",
     "response_table",
     "simulate_digit_freq",
-    "step",
     "tail_error_bound",
     "theta_bound",
     "two_step_derivative",

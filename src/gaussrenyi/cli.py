@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .bounds import c_bound, eps_max, theta_bound
 from .digits import digit_law, gauss_kuzmin, gauss_kuzmin_tail
-from .funcspace import SUP_NORM_GRID
+from .funcspace import DEFAULT_DEGREE, SUP_NORM_GRID
 from .maps import MapKind
 from .perturbation import mixture_series, residual
 from .simulate import SimConfig, simulate_digit_freq
@@ -211,7 +211,8 @@ def _cmd_simulate(args):
     _write_table(args, prov, header, rows)
 
 
-_SERIES = {"order": 3, "degree": 128, "a_max": 256, "taylor_order": 3}
+_SERIES = {"order": 3, "degree": DEFAULT_DEGREE,
+           "a_max": TailPolicy.a_max, "taylor_order": TailPolicy.taylor_order}
 
 # subcommand -> (handler, help, defaults); a defaults dict lists the
 # subcommand's flags in provenance order

@@ -54,9 +54,6 @@ class PerturbationSeries:
         return linear_combo(terms)
 
 
-evaluate_series = PerturbationSeries.at
-
-
 def mixture_forcing_terms(h0, m1, order):
     """Derivatives of eps -> L_eps h0 at eps = 0 for the affine mixture.
 

@@ -92,14 +92,6 @@ class DensityHistogram:
             object.__setattr__(self, name, a)
 
 
-def step(omega_bit, x):
-    """One application of the selected map, scalar version."""
-    if omega_bit not in (0, 1):
-        raise ValueError(f"map selector must be 0 or 1: {omega_bit!r}")
-    check_unit("x", x)
-    return float(map_step(omega_bit, x)[0])
-
-
 def digit_b(omega1, omega2, x):
     """Digit read off the state: k + omega2 with omega1 + (-1)^omega1 x
     in the k-th Gauss cell (1/(k+1), 1/k]."""

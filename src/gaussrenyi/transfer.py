@@ -6,22 +6,25 @@ on densities by
     (L f)(y) = sum_a |V_a'(y)| f(V_a(y)),
 
 here with branches V_a(y) = 1/(a+y) (Gauss) or 1 - 1/(a+y) (Renyi) and
-weight 1/(a+y)^2 in both cases.  The countable branch sum is split into
-an explicit part a <= a_max and a tail resummed through a Taylor
-expansion of f at the branch accumulation point (x = 0 for Gauss,
-x = 1 for Renyi); the tail coefficient sums collapse to Hurwitz zeta
-values zeta(s, a_max + 1 + y).
+weight 1/(a+y)^2 in both cases.  The Renyi map is the Gauss map after
+the reflection R(x) = 1 - x, so its operator is L1 f = L0 (f o R).  The
+countable Gauss branch sum is split into an explicit part a <= a_max and
+a tail resummed through a Taylor expansion of f at the branch
+accumulation point x = 0; the tail coefficient sums collapse to Hurwitz
+zeta values zeta(s, a_max + 1 + y).
 
 Discretization collocates the operator on the Chebyshev-Lobatto nodes,
-giving a dense matrix acting on node values, built once per map,
-degree and tail policy; :func:`apply_transfer` applies it and
-:func:`assemble_operator` returns it.  A rank-one correction in the
-constant direction restores exact mass conservation (q @ M == q for
-the quadrature weights q), which the Taylor tail alone cannot provide
-uniformly over the polynomial space.  It moves the image of f by
-|(q - q @ M) . f| (M before the fix), which the tail error bound does
-not bound: max|q - q @ M| is 4.58 at the default policy (256, 3) and
-1.5e-2 at (64, 0); on the Gauss density at degree 128 the move is 1e-13.
+giving a dense matrix acting on node values, built once per degree and
+tail policy.  The nodes are symmetric about 1/2, so the Renyi matrix is
+the Gauss matrix with its columns reversed.  :func:`apply_transfer`
+applies the matrix and :func:`assemble_operator` returns it.  A rank-one
+correction in the constant direction restores exact mass conservation
+(q @ M == q for the quadrature weights q), which the Taylor tail alone
+cannot provide uniformly over the polynomial space.  It moves the image
+of f by |(q - q @ M) . f| (M before the fix), which the tail error bound
+does not bound: max|q - q @ M| is 4.58 at the default policy (256, 3)
+and 1.5e-2 at (64, 0); on the Gauss density at degree 128 the move is
+1e-13.  The row q is symmetric too, so the reversed columns keep the fix.
 
 The annealed operator of the random system choosing Gauss with
 probability 1 - eps and Renyi with probability eps is the convex
@@ -41,6 +44,7 @@ import numpy as np
 
 from .bounds import hurwitz_zeta, warn_if_inadmissible
 from .funcspace import (
+    DEFAULT_DEGREE,
     SUP_NORM_GRID,
     ChebFn,
     chebyshev_nodes,
@@ -83,7 +87,6 @@ class OperatorMatrix:
 
     entries: np.ndarray
     degree: int
-    kind_label: str
     eps: float | None = None
 
     def __post_init__(self):
@@ -99,15 +102,21 @@ class OperatorMatrix:
 def _collocation_matrix(kind, degree, a_max, taylor_order):
     """Read-only collocation matrix: explicit branches a <= a_max, tail, mass fix.
 
-    Built column by column in O(a_max * degree) memory, with exact endpoint jets.
+    Only the Gauss matrix is built, column by column in O(a_max * degree)
+    memory, with its tail resummed from exact jets at x = 0.  The Renyi
+    map is T1 = T0 o R for the reflection R(x) = 1 - x, so L1 f = L0 (f o R);
+    the nodes are symmetric (x_(n-j) = 1 - x_j), so the Renyi matrix is the
+    Gauss matrix with its columns reversed, a read-only contiguous copy.
     """
+    if kind is MapKind.RENYI:
+        gauss = _collocation_matrix(MapKind.GAUSS, degree, a_max, taylor_order)
+        M = np.ascontiguousarray(gauss[:, ::-1])
+        M.setflags(write=False)
+        return M
     y = chebyshev_nodes(degree)
     a = np.arange(1, a_max + 1, dtype=float)[:, None]
     w = 1.0 / (a + y[None, :]) ** 2
-    if kind is MapKind.GAUSS:
-        pts = 1.0 / (a + y[None, :])
-    else:
-        pts = 1.0 - 1.0 / (a + y[None, :])
+    pts = 1.0 / (a + y[None, :])
     n = degree + 1
     t = 2.0 * pts - 1.0
     two_t = 2.0 * t
@@ -116,17 +125,16 @@ def _collocation_matrix(kind, degree, a_max, taylor_order):
     for k in range(n):
         B[:, k] = (w * T).sum(0)
         T_prev, T = T, T * two_t - T_prev
-    # tail: Taylor jets of f at x* = 0 (Gauss) or 1 (Renyi), t* = 2x* - 1 = -sign;
-    # d^j/dx^j T_k(2x - 1) at x* is t*^(k+j) 2^j prod_{i<j} (k^2 - i^2)/(2i + 1)
-    sign = 1.0 if kind is MapKind.GAUSS else -1.0
+    # tail: Taylor jets of f at x = 0, t = -1;
+    # d^j/dx^j T_k(2x - 1) at x = 0 is (-1)^(k+j) 2^j prod_{i<j} (k^2 - i^2)/(2i + 1)
     k = np.arange(n)
-    jet = (-sign) ** k
+    jet = (-1.0) ** k
     C = values_to_coeffs_matrix(degree)
     tail = np.zeros((n, n))
     for j in range(taylor_order + 1):
-        zeta = sign**j / math.factorial(j) * hurwitz_zeta(j + 2, a_max + 1.0 + y)
+        zeta = 1.0 / math.factorial(j) * hurwitz_zeta(j + 2, a_max + 1.0 + y)
         tail += np.outer(zeta, jet @ C)
-        jet = -sign * 2.0 * jet * (k * k - j * j) / (2 * j + 1)
+        jet = -2.0 * jet * (k * k - j * j) / (2 * j + 1)
     # the tail stays in node space: folded into B before @ C it loses accuracy
     M = B @ C + tail
     # rank-one mass restoration (q @ M == q); it moves f by |(q - q @ M) . f|
@@ -191,7 +199,7 @@ def apply_transfer(kind, f, policy=None):
     return ChebFn.from_values(M @ f.values)
 
 
-def assemble_operator(kind, degree=128, policy=None):
+def assemble_operator(kind, degree=DEFAULT_DEGREE, policy=None):
     """Collocation matrix of the transfer operator at the given degree.
 
     Column j holds the node values of the operator applied to the j-th
@@ -204,8 +212,7 @@ def assemble_operator(kind, degree=128, policy=None):
         raise ValueError(f"degree must be at least 8: {degree!r}")
     policy = policy if policy is not None else TailPolicy()
     M = _collocation_matrix(kind, degree, policy.a_max, policy.taylor_order)
-    label = "L0" if kind is MapKind.GAUSS else "L1"
-    return OperatorMatrix(M, degree, label)
+    return OperatorMatrix(M, degree)
 
 
 def annealed(eps, m0, m1):
@@ -215,7 +222,7 @@ def annealed(eps, m0, m1):
     if not 0.0 <= eps <= 1.0:
         warnings.warn(f"mixture weight {eps!r} outside [0, 1]", stacklevel=2)
     entries = (1.0 - eps) * m0.entries + eps * m1.entries
-    return OperatorMatrix(entries, m0.degree, f"annealed({eps:g})", eps=float(eps))
+    return OperatorMatrix(entries, m0.degree, eps=float(eps))
 
 
 def _bordered_solve(m, rhs):

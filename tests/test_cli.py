@@ -177,6 +177,19 @@ def test_provenance_keys_in_order(tmp_path):
         ), command
 
 
+def test_series_defaults_echo_library(tmp_path):
+    # degree, a_max and taylor_order default to the library's own defaults
+    from gaussrenyi import DEFAULT_DEGREE, TailPolicy
+
+    code, out = run(tmp_path, "defaults.csv", ["digits", "--n-max", "2"])
+    assert code == 0
+    prov, _, _ = read_csv(out)
+    policy = TailPolicy()
+    assert prov["degree"] == str(DEFAULT_DEGREE)
+    assert prov["a_max"] == str(policy.a_max)
+    assert prov["taylor_order"] == str(policy.taylor_order)
+
+
 def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     import gaussrenyi.cli as cli
 

@@ -18,7 +18,6 @@ from gaussrenyi import (
     forward,
     gauss_kuzmin,
     simulate_digit_freq,
-    step,
     tail_error_bound,
 )
 
@@ -30,17 +29,8 @@ LN2 = math.log(2.0)
 # ------------------------------------------------------------------ step
 
 
-def test_step_examples():
-    assert abs(step(0, 0.4) - 0.5) < 1e-15
-    assert abs(step(1, 1.0 / 3.0) - 0.5) < 1e-14
-    assert step(0, 0.0) == 0.0
-    assert step(1, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        step(2, 0.5)
-
-
 def test_forward_step_and_kernel_agree():
-    # scalar forward and step and the array kernel are one map step,
+    # scalar forward and the array kernel are one map step,
     # bit for bit, including the fixed points x = 0 and x = 1
     from gaussrenyi.maps import map_step
 
@@ -49,7 +39,6 @@ def test_forward_step_and_kernel_agree():
         images, digits = map_step(np.full(xs.size, bit, dtype=np.int8), xs)
         for x, image, digit in zip(xs.tolist(), images.tolist(), digits.tolist()):
             assert forward(kind, x) == (image, digit)
-            assert step(bit, x) == image
 
 
 # --------------------------------------------------------------- digit_b

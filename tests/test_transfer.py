@@ -175,6 +175,16 @@ def test_matrix_agrees_with_apply(ops128):
             assert np.max(np.abs(via_matrix - direct.values)) < 1e-11
 
 
+@pytest.mark.parametrize("degree", [8, 32, 128, 256])
+def test_renyi_matrix_is_reflected_gauss(degree):
+    # T1 = T0 o R with R(x) = 1 - x and symmetric nodes: L1 reverses the columns of L0
+    for a_max, taylor_order in ((256, 3), (8, 0), (64, 4)):
+        policy = TailPolicy(a_max, taylor_order)
+        m0 = assemble_operator(MapKind.GAUSS, degree, policy)
+        m1 = assemble_operator(MapKind.RENYI, degree, policy)
+        assert np.array_equal(m1.entries, m0.entries[:, ::-1]), (a_max, taylor_order)
+
+
 def test_assembly_memory_is_bounded():
     # the branch block is built column by column, never as an (a_max, n, n) array
     import tracemalloc
@@ -195,7 +205,7 @@ def test_assemble_validation():
     with pytest.raises(ValueError):
         assemble_operator(MapKind.GAUSS, 4)
     with pytest.raises(ValueError):
-        OperatorMatrix(np.zeros((3, 4)), 2, "L0")
+        OperatorMatrix(np.zeros((3, 4)), 2)
 
 
 # ------------------------------------------------------------- annealed
@@ -256,7 +266,7 @@ def test_invariant_density_rejects_pure_renyi(ops32):
 def test_invariant_density_rejects_bad_operator():
     # the negated identity has no fixed density; the bordered solve
     # returns a point whose residual violates the contract
-    bad = OperatorMatrix(-np.eye(9), 8, "L0")
+    bad = OperatorMatrix(-np.eye(9), 8)
     with pytest.raises(ConvergenceError):
         invariant_density(bad)
 
@@ -264,7 +274,7 @@ def test_invariant_density_rejects_bad_operator():
 def test_invariant_density_rejects_singular_system():
     # every density is a fixed point of the identity, so none is singled out
     with pytest.raises(ConvergenceError, match="singular"):
-        invariant_density(OperatorMatrix(np.eye(9), 8, "L0"))
+        invariant_density(OperatorMatrix(np.eye(9), 8))
 
 
 def test_invariant_density_continuity(ops128):
