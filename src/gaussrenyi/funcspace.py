@@ -25,6 +25,8 @@ from functools import lru_cache
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
+from .maps import check_unit
+
 DEFAULT_DEGREE = 128
 
 # uniform grid used for sup-norm estimates (diagnostics only)
@@ -89,13 +91,6 @@ def quadrature_weights(degree):
     out = integral_row(degree) @ values_to_coeffs_matrix(degree)
     out.setflags(write=False)
     return out
-
-
-def _check_domain(x):
-    arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise ValueError(f"argument outside [0, 1]: {x!r}")
-    return arr
 
 
 def _clenshaw(c, x):
@@ -207,9 +202,14 @@ class ChebFn:
         return self._values
 
     def __call__(self, x):
-        arr = _check_domain(x)
-        t = 2.0 * float(arr) - 1.0 if (np.isscalar(x) or arr.ndim == 0) else 2.0 * arr - 1.0
-        return _clenshaw(self._coeffs.tolist(), t)
+        if np.isscalar(x) or np.ndim(x) == 0:
+            x = float(x)
+            check_unit("argument", x)
+            return _clenshaw(self._coeffs.tolist(), 2.0 * x - 1.0)
+        arr = np.asarray(x, dtype=float)
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
+            raise ValueError(f"argument outside [0, 1]: {x!r}")
+        return _clenshaw(self._coeffs.tolist(), 2.0 * arr - 1.0)
 
     def integrate(self):
         """Integral over [0, 1], exact on the polynomial space."""

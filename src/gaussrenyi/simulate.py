@@ -4,7 +4,8 @@ Everything here is an independent ground truth against the spectral
 machinery: orbits of the random composition are simulated directly
 from the map definitions, digits are read off with the two-symbol
 digit function, and transfer operator images are re-computed by plain
-branch summation with no tail model.
+branch summation with no tail model, over the first ``_A_HUGE`` = 10**6
+branches (truncation error about sup|f| / 10**6).
 
 The digit of the random continued fraction at time n depends on the
 current point together with the next two map choices.  With the map
@@ -27,11 +28,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.chebyshev as ncheb
 
 from .maps import MapKind, check_kind, check_unit, map_step
 
 _BLOCK_ROWS = 1 << 14  # orbits per block of simulate_digit_freq
+_A_HUGE = 10**6  # branches summed by brute_force_transfer
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def digit_b(omega1, omega2, x):
     return int(math.floor(1.0 / z)) + omega2
 
 
-def simulate_digit_freq(cfg, n_max=100, first_bit=0):
+def simulate_digit_freq(cfg, n_max=100):
     """Empirical law of the digit at time cfg.n_index.
 
     Parameters
@@ -114,26 +115,20 @@ def simulate_digit_freq(cfg, n_max=100, first_bit=0):
     n_max : int
         Largest digit tracked individually; larger ones land in the
         overflow bucket.
-    first_bit : int
-        First symbol of the shifted selection sequence.  The digit
-        definition uses 0 (a deterministic Gauss step); 1 is offered
-        for side-by-side comparison of the convention.
 
-    Returns an :class:`EmpiricalLaw`.  The measure-zero event of an
-    orbit landing exactly on a branch endpoint (undefined digit) is
-    counted as overflow.
+    Each orbit takes the leading deterministic Gauss step of the shifted
+    selection sequence, then cfg.n_index random choices.  Returns an
+    :class:`EmpiricalLaw`.  The measure-zero event of an orbit landing
+    exactly on a branch endpoint (undefined digit) is counted as overflow.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be positive: {n_max!r}")
-    if first_bit not in (0, 1):
-        raise ValueError(f"first_bit must be 0 or 1: {first_bit!r}")
     rng = np.random.default_rng(cfg.seed)
     x = rng.random(cfg.samples)
     binned = np.zeros(n_max + 2, dtype=np.int64)
     for start in range(0, cfg.samples, _BLOCK_ROWS):
         xb = x[start : start + _BLOCK_ROWS]
-        sel = np.empty((xb.size, cfg.n_index + 1), dtype=np.int8)  # row: first_bit, then the choices
-        sel[:, 0] = first_bit
+        sel = np.zeros((xb.size, cfg.n_index + 1), dtype=np.int8)  # row: the Gauss step 0, then the choices
         sel[:, 1:] = rng.random((xb.size, cfg.n_index)) < cfg.eps
         for j in range(cfg.n_index - 1):
             xb = map_step(sel[:, j], xb)[0]
@@ -164,22 +159,20 @@ def empirical_density(cfg, bins=100):
     return DensityHistogram(edges, counts / cfg.samples)
 
 
-def brute_force_transfer(kind, f, y, a_huge=10**6):
+def brute_force_transfer(kind, f, y):
     """Transfer operator image at one point by plain branch summation.
 
-    No tail model: sums f(V_a(y)) / (a + y)^2 for a = 1..a_huge.  Used
-    to validate the Taylor-tail policies; the truncation error is of
-    order sup|f| / a_huge.
+    No tail model: sums f(V_a(y)) / (a + y)^2 for a = 1.._A_HUGE, with
+    ``_A_HUGE`` = 10**6.  Used to validate the Taylor-tail policies; the
+    truncation error is of order sup|f| / 10**6.
     """
     check_kind(kind)
-    if a_huge < 10**5:
-        raise ValueError(f"a_huge must be at least 1e5: {a_huge!r}")
     check_unit("y", y)
     total = 0.0
     chunk = 200000
-    for start in range(1, a_huge + 1, chunk):
-        a = np.arange(start, min(start + chunk, a_huge + 1), dtype=float)
+    for start in range(1, _A_HUGE + 1, chunk):
+        a = np.arange(start, min(start + chunk, _A_HUGE + 1), dtype=float)
         u = 1.0 / (a + y)
         pts = u if kind is MapKind.GAUSS else 1.0 - u
-        total += float(np.sum(u * u * ncheb.chebval(2.0 * pts - 1.0, f.coeffs)))
+        total += float(np.sum(u * u * f(pts)))
     return total

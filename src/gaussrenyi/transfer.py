@@ -144,7 +144,7 @@ def _collocation_matrix(kind, degree, a_max, taylor_order):
     return M
 
 
-def tail_error_bound(f, policy=None):
+def tail_error_bound(f, policy=TailPolicy()):
     """Tail-model error bound for the resolved part g of f: zeta(m+3, a_max+1) sup|g^(m+1)| / (m+1)!.
 
     g is f chopped at its standardChop plateau (:func:`chop_length`), so
@@ -156,7 +156,6 @@ def tail_error_bound(f, policy=None):
     at degree 256 the bound reads 2.6e-13, while the operator moves it by
     |M h0 - h0| = 5.7e-12 before the mass fix.
     """
-    policy = policy if policy is not None else TailPolicy()
     m = policy.taylor_order
     g = ChebFn(f.coeffs[: chop_length(f.coeffs)])
     fact = 1.0
@@ -166,7 +165,7 @@ def tail_error_bound(f, policy=None):
     return hurwitz_zeta(m + 3, policy.a_max + 1.0) * norm_sup(g) / fact
 
 
-def apply_transfer(kind, f, policy=None):
+def apply_transfer(kind, f, policy=TailPolicy()):
     """Apply the transfer operator of one map to a ChebFn.
 
     Parameters
@@ -175,7 +174,7 @@ def apply_transfer(kind, f, policy=None):
         Which map's operator to apply.
     f : ChebFn
         Input density (any smooth function works; mass is conserved).
-    policy : TailPolicy, optional
+    policy : TailPolicy
         Branch cutoff and Taylor order of the tail resummation.
 
     Returns
@@ -186,7 +185,6 @@ def apply_transfer(kind, f, policy=None):
     and a TailBoundWarning is emitted when it exceeds 1e-8.
     """
     check_kind(kind)
-    policy = policy if policy is not None else TailPolicy()
     M = _collocation_matrix(kind, f.degree, policy.a_max, policy.taylor_order)
     bound = tail_error_bound(f, policy)
     if bound > 1e-8:
@@ -199,7 +197,7 @@ def apply_transfer(kind, f, policy=None):
     return ChebFn.from_values(M @ f.values)
 
 
-def assemble_operator(kind, degree=DEFAULT_DEGREE, policy=None):
+def assemble_operator(kind, degree=DEFAULT_DEGREE, policy=TailPolicy()):
     """Collocation matrix of the transfer operator at the given degree.
 
     Column j holds the node values of the operator applied to the j-th
@@ -210,7 +208,6 @@ def assemble_operator(kind, degree=DEFAULT_DEGREE, policy=None):
     check_kind(kind)
     if degree < 8:
         raise ValueError(f"degree must be at least 8: {degree!r}")
-    policy = policy if policy is not None else TailPolicy()
     M = _collocation_matrix(kind, degree, policy.a_max, policy.taylor_order)
     return OperatorMatrix(M, degree)
 

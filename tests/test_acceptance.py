@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import gaussrenyi.transfer as transfer_mod
 from gaussrenyi import (
@@ -38,6 +39,9 @@ from gaussrenyi import (
 )
 
 from conftest import random_smooth_fn
+
+# the series pipeline warns at no admissible weight
+pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 
 LN2 = math.log(2.0)
 

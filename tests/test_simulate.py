@@ -84,6 +84,8 @@ def test_config_validation():
         SimConfig(eps=0.1, samples=0)
     with pytest.raises(ValueError):
         SimConfig(eps=0.1, samples=10, n_index=0)
+    with pytest.raises(ValueError):
+        SimConfig(eps=0.1, samples=10, burn_in=-1)
 
 
 def test_reproducibility():
@@ -94,33 +96,31 @@ def test_reproducibility():
     assert a.overflow == b.overflow and a.total == b.total
 
 
-# (samples, n_index, n_max, first_bit) -> (counts, overflow), recorded from
-# the original implementation; 100_003 samples span several row blocks and
+# (samples, n_index, n_max) -> (counts, overflow), recorded from the
+# original implementation; 100_003 samples span several row blocks and
 # end in a partial one
 _GOLDEN_STREAM = [
-    ((10**4, 20, 30, 0), ([
+    ((10**4, 20, 30), ([
         3277, 2530, 1108, 602, 414, 301, 207, 173, 123, 101,
         103, 63, 70, 80, 55, 57, 38, 35, 29, 30,
         29, 31, 25, 17, 14, 19, 19, 12, 16, 15,
     ], 407)),
-    ((100_003, 20, 10, 0),
+    ((100_003, 20, 10),
      ([32382, 24846, 10845, 6364, 4179, 2873, 2251, 1767, 1450, 1154], 11892)),
-    ((100_003, 1, 10, 0),
+    ((100_003, 1, 10),
      ([35169, 26545, 10826, 6025, 3773, 2715, 1966, 1585, 1197, 971], 9231)),
-    ((100_003, 1, 10, 1),
-     ([34870, 26726, 10820, 6049, 3847, 2614, 1967, 1552, 1172, 1010], 9376)),
-    ((100_003, 2, 10, 1),
-     ([31780, 24770, 11052, 6440, 4298, 3090, 2303, 1821, 1443, 1132], 11874)),
+    ((100_003, 2, 10),
+     ([31871, 25060, 10782, 6223, 4232, 3035, 2319, 1855, 1442, 1167], 12017)),
 ]
 
 
 def test_seeded_stream_golden():
     # pins the seeded stream: counts and overflow exactly
-    for (samples, n_index, n_max, first_bit), (expected, overflow) in _GOLDEN_STREAM:
+    for (samples, n_index, n_max), (expected, overflow) in _GOLDEN_STREAM:
         cfg = SimConfig(eps=0.3, samples=samples, n_index=n_index, seed=7)
-        law = simulate_digit_freq(cfg, n_max=n_max, first_bit=first_bit)
-        assert law.counts.tolist() == expected, (samples, n_index, first_bit)
-        assert law.overflow == overflow, (samples, n_index, first_bit)
+        law = simulate_digit_freq(cfg, n_max=n_max)
+        assert law.counts.tolist() == expected, (samples, n_index)
+        assert law.overflow == overflow, (samples, n_index)
 
 
 def test_digit_freq_memory_is_bounded():
@@ -162,15 +162,6 @@ def test_late_digit_follows_gauss_kuzmin():
     p = gauss_kuzmin(1)
     se = math.sqrt(p * (1 - p) / law.total)
     assert abs(law.frequencies()[0] - p) < 3 * se
-
-
-def test_first_bit_variant_runs():
-    # the alternative convention is reported for comparison, not asserted
-    cfg = SimConfig(eps=0.15, samples=50000, n_index=6, seed=11)
-    base = simulate_digit_freq(cfg, 20)
-    flipped = simulate_digit_freq(cfg, 20, first_bit=1)
-    assert flipped.total == base.total
-    assert int(flipped.counts.sum()) + flipped.overflow == flipped.total
 
 
 # ------------------------------------------------------ empirical density
@@ -222,7 +213,7 @@ def test_histogram_chi2_against_series(series3):
 
 def test_brute_force_trigamma():
     one = ChebFn.constant(1.0, degree=8)
-    value = brute_force_transfer(MapKind.GAUSS, one, 0.0, 10**6)
+    value = brute_force_transfer(MapKind.GAUSS, one, 0.0)
     assert abs(value - math.pi**2 / 6) < 1e-6
 
 
@@ -240,16 +231,18 @@ def test_brute_force_matches_tail_model():
         g = apply_transfer(kind, f)
         slack = 1e-9 + 1.1 * abs(f(xstar)) / a_huge + bound
         for y in np.linspace(0.0, 1.0, points):
-            direct = brute_force_transfer(kind, f, float(y), a_huge)
+            direct = brute_force_transfer(kind, f, float(y))
             assert abs(direct - g(float(y))) < slack
 
 
 def test_brute_force_renyi_gauss_density(h0_128):
     g = apply_transfer(MapKind.RENYI, h0_128)
-    direct = brute_force_transfer(MapKind.RENYI, h0_128, 0.5, 10**6)
+    direct = brute_force_transfer(MapKind.RENYI, h0_128, 0.5)
     assert abs(direct - g(0.5)) < 1e-9 + 1e-6
 
 
 def test_brute_force_validation():
+    with pytest.raises(TypeError):
+        brute_force_transfer("gauss", ChebFn.constant(1.0), 0.0)
     with pytest.raises(ValueError):
-        brute_force_transfer(MapKind.GAUSS, ChebFn.constant(1.0), 0.0, 10**4)
+        brute_force_transfer(MapKind.GAUSS, ChebFn.constant(1.0), 1.5)
