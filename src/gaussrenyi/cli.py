@@ -24,6 +24,8 @@ data stream.  Exit codes:
 ``_FLAGS`` and ``_COMMANDS`` are the one place a flag is declared: its
 type, help, check and, per subcommand, default and provenance position.
 The parser, the validation and the provenance header are built from them.
+Each handler returns its table, the header, the rows and the provenance
+fields it computed, and :func:`main` writes it.
 """
 
 from __future__ import annotations
@@ -75,13 +77,7 @@ def _flag(name):
 
 
 def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _write_table(args, provenance, header, rows):
@@ -94,11 +90,7 @@ def _write_table(args, provenance, header, rows):
             buf.write(",".join(_fmt(v) for v in row) + "\n")
         text = buf.getvalue()
     else:
-        payload = {
-            "provenance": {k: v for k, v in provenance.items()},
-            "columns": list(header),
-            "rows": [[(float(v) if isinstance(v, (float, np.floating)) else v) for v in row] for row in rows],
-        }
+        payload = {"provenance": provenance, "columns": header, "rows": rows}
         text = json.dumps(payload, indent=2) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
@@ -124,23 +116,22 @@ def _series_pipeline(args):
     m1 = assemble_operator(MapKind.RENYI, args.degree, policy)
     h0 = invariant_density(m0)
     series = mixture_series(h0, m0, m1, args.order)
-    return policy, m0, m1, h0, series
+    return m0, m1, series, tail_error_bound(h0, policy)
 
 
 def _cmd_density(args):
-    policy, m0, m1, h0, series = _series_pipeline(args)
+    m0, m1, series, bound = _series_pipeline(args)
     h_eps = series.at(args.eps)
     res = residual(args.eps, h_eps, m0, m1)
     xs = np.linspace(0.0, 1.0, args.grid)
     header = ["x", "h0"] + [f"c{n}" for n in range(1, args.order + 1)] + ["h_eps"]
-    columns = [xs, h0(xs)] + [c(xs) for c in series.coeffs] + [h_eps(xs)]
+    columns = [xs, series.h0(xs)] + [c(xs) for c in series.coeffs] + [h_eps(xs)]
     rows = [list(vals) for vals in zip(*columns)]
-    prov = _base_provenance(args, tail_error_bound=tail_error_bound(h0, policy), residual_sup=res)
-    _write_table(args, prov, header, rows)
+    return header, rows, {"tail_error_bound": bound, "residual_sup": res}
 
 
 def _cmd_digits(args):
-    policy, m0, m1, h0, series = _series_pipeline(args)
+    _, _, series, bound = _series_pipeline(args)
     law = digit_law(args.eps, series, args.n_max)
     header = ["N", "p_approx", "p_gauss_kuzmin"]
     rows = [
@@ -151,12 +142,11 @@ def _cmd_digits(args):
         ["total", float(law.probs.sum()) + law.tail_mass,
          sum(gauss_kuzmin(n) for n in range(1, args.n_max + 1)) + gauss_kuzmin_tail(args.n_max)]
     )
-    prov = _base_provenance(args, tail_error_bound=tail_error_bound(h0, policy))
-    _write_table(args, prov, header, rows)
+    return header, rows, {"tail_error_bound": bound}
 
 
 def _cmd_convergence(args):
-    policy, m0, m1, h0, series = _series_pipeline(args)
+    m0, m1, series, bound = _series_pipeline(args)
     references = {}
     for eps in _CONVERGENCE_GRID:
         references[eps] = invariant_density(annealed(eps, m0, m1))
@@ -174,12 +164,8 @@ def _cmd_convergence(args):
         slope = float(np.polyfit(np.log(_CONVERGENCE_GRID), np.log(errors), 1)[0])
         for eps, err, res in zip(_CONVERGENCE_GRID, errors, residuals):
             rows.append([eps, k, err, res, slope])
-    prov = _base_provenance(
-        args,
-        eps_grid=" ".join(str(e) for e in _CONVERGENCE_GRID),
-        tail_error_bound=tail_error_bound(h0, policy),
-    )
-    _write_table(args, prov, header, rows)
+    return header, rows, {"eps_grid": " ".join(str(e) for e in _CONVERGENCE_GRID),
+                          "tail_error_bound": bound}
 
 
 def _cmd_bounds(args):
@@ -190,8 +176,7 @@ def _cmd_bounds(args):
             rows.append([1, "", "", "deferred (i=1 case not covered by these bounds)"])
         else:
             rows.append([i, theta_bound(i), c_bound(i), eps_max(i)])
-    prov = _base_provenance(args)
-    _write_table(args, prov, header, rows)
+    return header, rows, {}
 
 
 def _cmd_simulate(args):
@@ -207,14 +192,14 @@ def _cmd_simulate(args):
         for n in range(1, args.n_max + 1)
     ]
     rows.append(["overflow", law.overflow, law.overflow / law.total, ""])
-    prov = _base_provenance(args)
-    _write_table(args, prov, header, rows)
+    return header, rows, {}
 
 
 _SERIES = {"order": 3, "degree": DEFAULT_DEGREE,
            "a_max": TailPolicy.a_max, "taylor_order": TailPolicy.taylor_order}
 
-# subcommand -> (handler, help, defaults); a defaults dict lists the
+# subcommand -> (handler, help, defaults); a handler returns (header, rows,
+# computed provenance fields in order), and a defaults dict lists the
 # subcommand's flags in provenance order
 _COMMANDS = {
     "density": (_cmd_density, "density expansion on a grid",
@@ -259,7 +244,8 @@ def main(argv=None):
         return exc.code if exc.code is not None else 0
     try:
         _validate(args)
-        _COMMANDS[args.command][0](args)
+        header, rows, computed = _COMMANDS[args.command][0](args)
+        _write_table(args, _base_provenance(args, **computed), header, rows)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"gaussrenyi: {exc}", file=sys.stderr)
         return 1

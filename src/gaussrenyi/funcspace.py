@@ -256,9 +256,6 @@ class ChebFn:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return ChebFn(-self._coeffs)
-
     def __repr__(self):
         return f"ChebFn(degree={self.degree})"
 

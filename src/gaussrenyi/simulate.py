@@ -58,18 +58,19 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class EmpiricalLaw:
-    """Digit counts for N = 1..n_max plus an overflow bucket."""
+    """Digit counts for N = 1..n_max plus an overflow bucket; the total is their sum."""
 
     counts: np.ndarray
     overflow: int
-    total: int
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
-        if int(c.sum()) + self.overflow != self.total:
-            raise ValueError("counts plus overflow must equal the sample total")
+
+    @property
+    def total(self):
+        return int(self.counts.sum()) + self.overflow
 
     def frequencies(self):
         return self.counts / self.total
@@ -81,16 +82,18 @@ class EmpiricalLaw:
 
 @dataclass(frozen=True)
 class DensityHistogram:
-    """Normalized histogram of orbit positions after burn-in."""
+    """Normalized histogram of orbit positions after burn-in, in equal bins of [0, 1]."""
 
-    edges: np.ndarray
     masses: np.ndarray
 
     def __post_init__(self):
-        for name in ("edges", "masses"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        m = np.asarray(self.masses, dtype=float)
+        m.setflags(write=False)
+        object.__setattr__(self, "masses", m)
+
+    @property
+    def edges(self):
+        return np.linspace(0.0, 1.0, self.masses.size + 1)
 
 
 def digit_b(omega1, omega2, x):
@@ -135,7 +138,7 @@ def simulate_digit_freq(cfg, n_max=100):
         k = map_step(sel[:, -2], xb)[1]  # 0 marks the fixed point: digit undefined, overflow
         digits = np.where(k > 0.0, np.minimum(k + sel[:, -1], n_max + 1), n_max + 1)
         binned += np.bincount(digits.astype(np.int64), minlength=n_max + 2)
-    return EmpiricalLaw(binned[1:-1], int(binned[-1]), cfg.samples)
+    return EmpiricalLaw(binned[1:-1], int(binned[-1]))
 
 
 def empirical_density(cfg, bins=100):
@@ -156,7 +159,7 @@ def empirical_density(cfg, bins=100):
         x = map_step(bits, x)[0]
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts, _ = np.histogram(x, bins=edges)
-    return DensityHistogram(edges, counts / cfg.samples)
+    return DensityHistogram(counts / cfg.samples)
 
 
 def brute_force_transfer(kind, f, y):

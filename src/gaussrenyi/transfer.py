@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -83,23 +83,30 @@ class TailPolicy:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Collocation matrix of a transfer operator acting on node values."""
+    """Collocation matrix of a transfer operator acting on node values.
+
+    The degree is read off the square entries; the keyword-only eps is the
+    weight of an annealed mixture and None for a single map.
+    """
 
     entries: np.ndarray
-    degree: int
+    _: KW_ONLY
     eps: float | None = None
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
-        n = self.degree + 1
-        if e.shape != (n, n):
-            raise ValueError(f"entries must be {n} x {n}, got {e.shape}")
+        if e.ndim != 2 or e.shape[0] != e.shape[1] or e.size == 0:
+            raise ValueError(f"entries must be a non-empty square matrix, got {e.shape}")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
+    @property
+    def degree(self):
+        return self.entries.shape[0] - 1
+
 
 @lru_cache(maxsize=16)
-def _collocation_matrix(kind, degree, a_max, taylor_order):
+def _collocation_matrix(kind, degree, policy):
     """Read-only collocation matrix: explicit branches a <= a_max, tail, mass fix.
 
     Only the Gauss matrix is built, column by column in O(a_max * degree)
@@ -109,12 +116,12 @@ def _collocation_matrix(kind, degree, a_max, taylor_order):
     Gauss matrix with its columns reversed, a read-only contiguous copy.
     """
     if kind is MapKind.RENYI:
-        gauss = _collocation_matrix(MapKind.GAUSS, degree, a_max, taylor_order)
+        gauss = _collocation_matrix(MapKind.GAUSS, degree, policy)
         M = np.ascontiguousarray(gauss[:, ::-1])
         M.setflags(write=False)
         return M
     y = chebyshev_nodes(degree)
-    a = np.arange(1, a_max + 1, dtype=float)[:, None]
+    a = np.arange(1, policy.a_max + 1, dtype=float)[:, None]
     w = 1.0 / (a + y[None, :]) ** 2
     pts = 1.0 / (a + y[None, :])
     n = degree + 1
@@ -131,8 +138,8 @@ def _collocation_matrix(kind, degree, a_max, taylor_order):
     jet = (-1.0) ** k
     C = values_to_coeffs_matrix(degree)
     tail = np.zeros((n, n))
-    for j in range(taylor_order + 1):
-        zeta = 1.0 / math.factorial(j) * hurwitz_zeta(j + 2, a_max + 1.0 + y)
+    for j in range(policy.taylor_order + 1):
+        zeta = 1.0 / math.factorial(j) * hurwitz_zeta(j + 2, policy.a_max + 1.0 + y)
         tail += np.outer(zeta, jet @ C)
         jet = -2.0 * jet * (k * k - j * j) / (2 * j + 1)
     # the tail stays in node space: folded into B before @ C it loses accuracy
@@ -185,7 +192,7 @@ def apply_transfer(kind, f, policy=TailPolicy()):
     and a TailBoundWarning is emitted when it exceeds 1e-8.
     """
     check_kind(kind)
-    M = _collocation_matrix(kind, f.degree, policy.a_max, policy.taylor_order)
+    M = _collocation_matrix(kind, f.degree, policy)
     bound = tail_error_bound(f, policy)
     if bound > 1e-8:
         warnings.warn(
@@ -208,8 +215,7 @@ def assemble_operator(kind, degree=DEFAULT_DEGREE, policy=TailPolicy()):
     check_kind(kind)
     if degree < 8:
         raise ValueError(f"degree must be at least 8: {degree!r}")
-    M = _collocation_matrix(kind, degree, policy.a_max, policy.taylor_order)
-    return OperatorMatrix(M, degree)
+    return OperatorMatrix(_collocation_matrix(kind, degree, policy))
 
 
 def annealed(eps, m0, m1):
@@ -219,7 +225,7 @@ def annealed(eps, m0, m1):
     if not 0.0 <= eps <= 1.0:
         warnings.warn(f"mixture weight {eps!r} outside [0, 1]", stacklevel=2)
     entries = (1.0 - eps) * m0.entries + eps * m1.entries
-    return OperatorMatrix(entries, m0.degree, eps=float(eps))
+    return OperatorMatrix(entries, eps=float(eps))
 
 
 def _bordered_solve(m, rhs):

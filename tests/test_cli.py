@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from gaussrenyi.cli import main
 
 FAST = ["--degree", "64", "--a-max", "64", "--order", "2"]
@@ -106,13 +108,38 @@ def test_simulate_table(tmp_path):
     assert rows[-1][0] == "overflow"
 
 
-def test_json_format(tmp_path):
-    code, out = run(tmp_path, "b.json", ["bounds", "--n-max", "4", "--format", "json"])
+def _same_entry(value, text):
+    # a JSON string is the CSV text; a JSON number parses from it exactly
+    return value == text if isinstance(value, str) else float(text) == value
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["density", "--eps", "0.05", "--grid", "5"] + FAST,
+        ["digits", "--eps", "0.05", "--n-max", "5"] + FAST,
+        ["convergence"] + FAST,
+        ["bounds", "--n-max", "4"],
+        ["simulate", "--eps", "0.1", "--samples", "1000", "--n-index", "3", "--n-max", "5"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_json_format(tmp_path, args):
+    assert run(tmp_path, "t.csv", args)[0] == 0
+    code, out = run(tmp_path, "t.json", args + ["--format", "json"])
     assert code == 0
+    prov, header, rows = read_csv(tmp_path / "t.csv")
     payload = json.loads(out.read_text())
-    assert payload["columns"] == ["i", "theta", "c", "eps_max"]
-    assert payload["provenance"]["subcommand"] == "bounds"
-    assert len(payload["rows"]) == 4
+    assert list(payload) == ["provenance", "columns", "rows"]
+    assert list(payload["provenance"]) == list(prov)
+    assert payload["provenance"]["subcommand"] == args[0]
+    for key, value in payload["provenance"].items():
+        assert key == "format" or _same_entry(value, prov[key]), key
+    assert payload["columns"] == header
+    assert len(payload["rows"]) == len(rows)
+    for json_row, csv_row in zip(payload["rows"], rows):
+        assert len(json_row) == len(csv_row)
+        assert all(_same_entry(v, t) for v, t in zip(json_row, csv_row)), csv_row
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -65,7 +65,7 @@ def test_forcing_value_against_brute_force(forcing, h0_128):
 def test_forcing_rejects_badly_scaled_input(h0_128):
     # an operator violating mass conservation must be flagged
     n = h0_128.degree + 1
-    bogus = OperatorMatrix(1.1 * np.eye(n), h0_128.degree)
+    bogus = OperatorMatrix(1.1 * np.eye(n))
     with pytest.raises(RuntimeError, match="mean"):
         mixture_forcing_terms(h0_128, bogus, 1)
 

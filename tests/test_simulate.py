@@ -175,6 +175,7 @@ def test_empirical_density_requires_burn_in():
 def test_empirical_density_matches_gauss_measure():
     cfg = SimConfig(eps=0.0, samples=10**6, seed=5, burn_in=100)
     hist = empirical_density(cfg, bins=100)
+    assert np.array_equal(hist.edges, np.linspace(0.0, 1.0, 101))
     assert abs(float(hist.masses.sum()) - 1.0) < 1e-12
     expected = np.log2((1 + hist.edges[1:]) / (1 + hist.edges[:-1]))
     se = np.sqrt(expected * (1 - expected) / cfg.samples)

@@ -204,8 +204,12 @@ def test_assembly_memory_is_bounded():
 def test_assemble_validation():
     with pytest.raises(ValueError):
         assemble_operator(MapKind.GAUSS, 4)
-    with pytest.raises(ValueError):
-        OperatorMatrix(np.zeros((3, 4)), 2)
+    assert OperatorMatrix(np.eye(9)).degree == 8
+    with pytest.raises(TypeError):
+        OperatorMatrix(np.eye(9), 8)  # the degree is derived, eps is keyword-only
+    for shape in [(3, 4), (0, 0), (3,)]:
+        with pytest.raises(ValueError):
+            OperatorMatrix(np.zeros(shape))
 
 
 # ------------------------------------------------------------- annealed
@@ -266,7 +270,7 @@ def test_invariant_density_rejects_pure_renyi(ops32):
 def test_invariant_density_rejects_bad_operator():
     # the negated identity has no fixed density; the bordered solve
     # returns a point whose residual violates the contract
-    bad = OperatorMatrix(-np.eye(9), 8)
+    bad = OperatorMatrix(-np.eye(9))
     with pytest.raises(ConvergenceError):
         invariant_density(bad)
 
@@ -274,7 +278,7 @@ def test_invariant_density_rejects_bad_operator():
 def test_invariant_density_rejects_singular_system():
     # every density is a fixed point of the identity, so none is singled out
     with pytest.raises(ConvergenceError, match="singular"):
-        invariant_density(OperatorMatrix(np.eye(9), 8))
+        invariant_density(OperatorMatrix(np.eye(9)))
 
 
 def test_invariant_density_continuity(ops128):
