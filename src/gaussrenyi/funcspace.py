@@ -145,7 +145,7 @@ def chop_length(coeffs):
 class ChebFn:
     """Polynomial interpolant on [0, 1] in the Chebyshev basis T_k(2x - 1)."""
 
-    __slots__ = ("_coeffs", "_values", "_anti")
+    __slots__ = ("_coeffs", "_clist", "_values", "_anti")
 
     def __init__(self, coeffs):
         c = np.array(coeffs, dtype=float)
@@ -155,6 +155,7 @@ class ChebFn:
             raise ValueError("non-finite coefficient")
         c.setflags(write=False)
         self._coeffs = c
+        self._clist = None
         self._values = None
         self._anti = None
 
@@ -202,14 +203,16 @@ class ChebFn:
         return self._values
 
     def __call__(self, x):
+        if self._clist is None:
+            self._clist = self._coeffs.tolist()  # the Clenshaw sum runs on floats
         if np.isscalar(x) or np.ndim(x) == 0:
             x = float(x)
             check_unit("argument", x)
-            return _clenshaw(self._coeffs.tolist(), 2.0 * x - 1.0)
+            return _clenshaw(self._clist, 2.0 * x - 1.0)
         arr = np.asarray(x, dtype=float)
         if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise ValueError(f"argument outside [0, 1]: {x!r}")
-        return _clenshaw(self._coeffs.tolist(), 2.0 * arr - 1.0)
+        return _clenshaw(self._clist, 2.0 * arr - 1.0)
 
     def integrate(self):
         """Integral over [0, 1], exact on the polynomial space."""

@@ -8,6 +8,12 @@ indexed by a digit a >= 1, with half-open branch cells
     Gauss:  (1/(a+1), 1/a]      Renyi:  [1 - 1/a, 1 - 1/(a+1))
 
 and the fixed-point conventions T0(0) = 0, T1(1) = 0.
+
+:func:`map_step` is the one array kernel of both maps: an in-place chain
+of ufunc passes that can write into caller-supplied (image, digit)
+buffers, so an orbit is stepped without allocating.  At the fixed points
+no branch cell contains the point; the kernel reports digit inf there and
+:func:`forward` reports 0.
 """
 
 from __future__ import annotations
@@ -33,30 +39,41 @@ def check_unit(name, value):
         raise ValueError(f"{name} outside [0, 1]: {value!r}")
 
 
-def map_step(bits, x):
+def map_step(bits, x, out=None):
     """Gauss (bit 0) or Renyi (bit 1) step on arrays; returns (image, digit).
 
-    With z = x (Gauss) or 1 - x (Renyi) the digit is floor(1/z) and the
-    image 1/z - digit.  At the fixed points (z = 0) image and digit are 0
-    by convention, since no branch cell contains them.  No validation.
+    With z = |bit - x|, exactly x (Gauss) or 1 - x (Renyi), the digit is
+    floor(1/z) and the image 1/z - digit.  At the fixed points (z = 0)
+    the image is 0 and the digit inf, since no branch cell contains them;
+    so is any z whose reciprocal overflows.  ``out`` is an optional pair
+    of float arrays of the broadcast shape of bits and x that receive image
+    and digit and are returned; image may be x itself, stepping an orbit
+    in place.  No validation.
     """
-    z = np.array(x, dtype=float)
-    np.subtract(1.0, z, out=z, where=bits == 1)  # Renyi reflection, in place
-    inv = np.divide(1.0, z, out=z, where=z > 0.0)  # z == 0 stays 0
-    digit = np.floor(inv)
-    return np.subtract(inv, digit, out=inv), digit
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(bits), np.shape(x))
+        out = np.empty(shape), np.empty(shape)
+    image, digit = out
+    np.subtract(bits, x, out=image)
+    np.abs(image, out=image)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.reciprocal(image, out=image)  # 1/0 = inf
+        np.floor(image, out=digit)
+        np.subtract(image, digit, out=image)  # inf - inf = NaN
+    np.fmax(image, 0.0, out=image)  # NaN -> 0
+    return image, digit
 
 
 def forward(kind, x):
     """Apply the map once; returns (image, digit) as (float, int).
 
-    The digit is floor(1/x) for Gauss and floor(1/(1-x)) for Renyi, with
-    the fixed-point conventions of :func:`map_step`.
+    The digit is floor(1/x) for Gauss and floor(1/(1-x)) for Renyi.  At
+    the fixed points, T0(0) = 0 and T1(1) = 0, the digit is reported as 0.
     """
     check_unit("x", x)
     check_kind(kind)
     image, digit = map_step(int(kind is MapKind.RENYI), x)
-    return float(image), int(digit)
+    return float(image), int(digit) if math.isfinite(digit) else 0
 
 
 def inverse_branch(kind, a, y):

@@ -19,7 +19,9 @@ configured seed; the initial points are drawn first (one uniform per
 sample), then the map choices: for the digits row-major per orbit, in
 blocks of whole rows (the stream of one (samples, n_index) draw in
 O(samples + block * n_index) memory); for the density one per sample
-per burn-in step.
+per burn-in step.  Both oracles step their orbits in place on buffers
+allocated once per run; the stream, and every count, is that of the
+implementation that allocated fresh arrays per step.
 """
 
 from __future__ import annotations
@@ -127,17 +129,22 @@ def simulate_digit_freq(cfg, n_max=100):
     if n_max < 1:
         raise ValueError(f"n_max must be positive: {n_max!r}")
     rng = np.random.default_rng(cfg.seed)
-    x = rng.random(cfg.samples)
+    x = rng.random(cfg.samples)  # stepped in place, block by block
+    rows = min(cfg.samples, _BLOCK_ROWS)
+    u = np.empty((rows, cfg.n_index))
+    sel = np.zeros((cfg.n_index + 1, rows), dtype=bool)  # row 0: the Gauss step, then the choices
+    digit = np.empty(rows)
     binned = np.zeros(n_max + 2, dtype=np.int64)
-    for start in range(0, cfg.samples, _BLOCK_ROWS):
-        xb = x[start : start + _BLOCK_ROWS]
-        sel = np.zeros((xb.size, cfg.n_index + 1), dtype=np.int8)  # row: the Gauss step 0, then the choices
-        sel[:, 1:] = rng.random((xb.size, cfg.n_index)) < cfg.eps
-        for j in range(cfg.n_index - 1):
-            xb = map_step(sel[:, j], xb)[0]
-        k = map_step(sel[:, -2], xb)[1]  # 0 marks the fixed point: digit undefined, overflow
-        digits = np.where(k > 0.0, np.minimum(k + sel[:, -1], n_max + 1), n_max + 1)
-        binned += np.bincount(digits.astype(np.int64), minlength=n_max + 2)
+    for start in range(0, cfg.samples, rows):
+        r = min(rows, cfg.samples - start)
+        xb, k = x[start : start + r], digit[:r]
+        rng.random(out=u[:r])
+        np.less(u[:r].T, cfg.eps, out=sel[1:, :r])  # one contiguous row per step
+        for bits in sel[:-1, :r]:
+            map_step(bits, xb, out=(xb, k))
+        # an inf digit (the fixed point: digit undefined) lands in overflow
+        np.minimum(np.add(k, sel[-1, :r], out=k), n_max + 1, out=k)
+        binned += np.bincount(k.astype(np.int64), minlength=n_max + 2)
     return EmpiricalLaw(binned[1:-1], int(binned[-1]))
 
 
@@ -154,9 +161,11 @@ def empirical_density(cfg, bins=100):
         raise ValueError(f"bins must be positive: {bins!r}")
     rng = np.random.default_rng(cfg.seed)
     x = rng.random(cfg.samples)
+    u = np.empty(cfg.samples)
+    bits = np.empty(cfg.samples, dtype=bool)
     for _ in range(cfg.burn_in):
-        bits = (rng.random(cfg.samples) < cfg.eps).astype(np.int8)
-        x = map_step(bits, x)[0]
+        np.less(rng.random(out=u), cfg.eps, out=bits)
+        map_step(bits, x, out=(x, u))  # the draws are spent: u takes the digits
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts, _ = np.histogram(x, bins=edges)
     return DensityHistogram(counts / cfg.samples)

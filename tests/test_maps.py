@@ -12,6 +12,10 @@ from gaussrenyi import (
     inverse_branch,
     two_step_derivative,
 )
+from gaussrenyi.maps import map_step
+
+# an unguarded 1/0 or inf - inf in the map kernel fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_forward_gauss():
@@ -27,8 +31,30 @@ def test_forward_renyi():
 def test_forward_conventions():
     assert forward(MapKind.GAUSS, 0.0) == (0.0, 0)
     assert forward(MapKind.RENYI, 1.0) == (0.0, 0)
+    # 1/x overflows: reported as the fixed point, without a warning
+    assert forward(MapKind.GAUSS, 5e-324) == (0.0, 0)
     with pytest.raises(ValueError):
         forward(MapKind.GAUSS, -0.2)
+
+
+def test_map_step_out_buffers():
+    # out= returns the caller's buffers, holding what out=None returns,
+    # bit for bit, at the fixed points, 1/2 and 1/3 among random points
+    xs = np.concatenate([[0.0, 1.0, 0.5, 1.0 / 3.0], np.random.default_rng(8).random(1000)])
+    bits = np.random.default_rng(9).random(xs.size) < 0.5
+    bits[:4] = [False, True, True, False]
+    want_image, want_digit = map_step(bits, xs)
+    a, b = np.empty(xs.size), np.empty(xs.size)
+    image, digit = map_step(bits, xs, out=(a, b))
+    assert image is a and digit is b
+    assert a.tobytes() == want_image.tobytes()
+    assert b.tobytes() == want_digit.tobytes()
+    assert a[:4].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert b[:4].tolist() == [math.inf, math.inf, 2.0, 3.0]
+    # in place: the image may overwrite the points
+    x = xs.copy()
+    assert map_step(bits, x, out=(x, b))[0] is x
+    assert x.tobytes() == want_image.tobytes()
 
 
 def test_inverse_branch_examples():

@@ -23,6 +23,9 @@ from gaussrenyi import (
 
 from conftest import random_smooth_fn
 
+# an unguarded 1/0 or inf - inf in the map kernel fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 LN2 = math.log(2.0)
 
 
@@ -30,15 +33,17 @@ LN2 = math.log(2.0)
 
 
 def test_forward_step_and_kernel_agree():
-    # scalar forward and the array kernel are one map step,
-    # bit for bit, including the fixed points x = 0 and x = 1
+    # scalar forward and the array kernel are one map step, bit for bit,
+    # including the fixed points x = 0 and x = 1, where the kernel's
+    # digit inf is forward's digit 0
     from gaussrenyi.maps import map_step
 
     xs = np.concatenate([np.random.default_rng(5).random(10**4), [0.0, 1.0]])
     for bit, kind in ((0, MapKind.GAUSS), (1, MapKind.RENYI)):
         images, digits = map_step(np.full(xs.size, bit, dtype=np.int8), xs)
+        assert np.count_nonzero(np.isinf(digits)) == 1
         for x, image, digit in zip(xs.tolist(), images.tolist(), digits.tolist()):
-            assert forward(kind, x) == (image, digit)
+            assert forward(kind, x) == (image, 0 if digit == math.inf else digit)
 
 
 # --------------------------------------------------------------- digit_b
@@ -137,6 +142,21 @@ def test_digit_freq_memory_is_bounded():
     assert peak < 32 * 2**20
 
 
+def test_empirical_density_memory_is_bounded():
+    # the orbits step in place: positions, one draw buffer reused for the
+    # digits, and the bits; no per-step arrays
+    import tracemalloc
+
+    cfg = SimConfig(eps=0.3, samples=10**6, seed=5, burn_in=50)
+    tracemalloc.start()
+    try:
+        empirical_density(cfg, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * cfg.samples
+
+
 def test_law_bookkeeping():
     cfg = SimConfig(eps=0.3, samples=20000, n_index=5, seed=4)
     law = simulate_digit_freq(cfg, 10)
@@ -170,6 +190,22 @@ def test_late_digit_follows_gauss_kuzmin():
 def test_empirical_density_requires_burn_in():
     with pytest.raises(ValueError):
         empirical_density(SimConfig(eps=0.0, samples=100, burn_in=10), 10)
+
+
+# exact bin counts of SimConfig(eps=0.3, samples=10_007, seed=7, burn_in=50)
+# with bins=20, recorded from the implementation that stepped on fresh
+# arrays per step
+_GOLDEN_DENSITY = [
+    750, 697, 694, 655, 660, 589, 578, 510, 522, 437,
+    419, 438, 474, 392, 411, 396, 363, 330, 343, 349,
+]
+
+
+def test_density_stream_golden():
+    # pins the seeded density stream: every bin count exactly
+    cfg = SimConfig(eps=0.3, samples=10_007, seed=7, burn_in=50)
+    hist = empirical_density(cfg, bins=20)
+    assert hist.masses.tolist() == [c / cfg.samples for c in _GOLDEN_DENSITY]
 
 
 def test_empirical_density_matches_gauss_measure():
