@@ -10,7 +10,7 @@ with theta < 1 < c.  The convex mixture with weight eps on the Renyi
 map therefore contracts while (1-eps) theta + eps c < 1, which pins the
 admissible range eps <= (1 - theta) / (c - theta).  The i = 1 case is
 not covered by these estimates.  :func:`hurwitz_zeta` is the package's
-one zeta summation; the transfer operator tails use it too.
+one zeta summation.
 """
 
 from __future__ import annotations

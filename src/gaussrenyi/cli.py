@@ -15,9 +15,9 @@ simulate     Monte Carlo digit frequencies
 Output is CSV (default) or JSON with a provenance header that echoes
 the full configuration, so identical invocations produce byte-identical
 files.  The ``tail_error_bound`` header field is
-:func:`gaussrenyi.transfer.tail_error_bound` of the base density: it
-bounds the tail model on the density chopped at its rounding plateau,
-not the rounding-level content.  Warnings go to stderr, never into the
+:func:`gaussrenyi.transfer.tail_error_bound` of the base density, chopped
+at its rounding plateau: the Euler-Maclaurin remainder bound of the
+branch tail beyond ``a_max``.  Warnings go to stderr, never into the
 data stream.  Exit codes:
 0 success, 1 invalid configuration (or one too large to allocate), 2 numerical failure.
 
@@ -63,7 +63,6 @@ _FLAGS = {
     "order": (int, "expansion order", lambda v: v >= 1, "must be at least 1"),
     "degree": (int, "collocation degree", lambda v: v >= 8, "must be at least 8"),
     "a_max": (int, "explicit branch cutoff", lambda v: v >= 8, "must be at least 8"),
-    "taylor_order": (int, "tail Taylor order", lambda v: 0 <= v <= 4, "must be in 0..4"),
     "n_max": (int, "last tabulated row", lambda v: v >= 1, "must be at least 1"),
     "samples": (int, "sample count", lambda v: v >= 1, "must be at least 1"),
     "n_index": (int, "digit index to record", lambda v: v >= 1, "must be at least 1"),
@@ -111,7 +110,7 @@ def _base_provenance(args, **computed):
 
 
 def _series_pipeline(args):
-    policy = TailPolicy(a_max=args.a_max, taylor_order=args.taylor_order)
+    policy = TailPolicy(a_max=args.a_max)
     m0 = assemble_operator(MapKind.GAUSS, args.degree, policy)
     m1 = assemble_operator(MapKind.RENYI, args.degree, policy)
     h0 = invariant_density(m0)
@@ -195,8 +194,7 @@ def _cmd_simulate(args):
     return header, rows, {}
 
 
-_SERIES = {"order": 3, "degree": DEFAULT_DEGREE,
-           "a_max": TailPolicy.a_max, "taylor_order": TailPolicy.taylor_order}
+_SERIES = {"order": 3, "degree": DEFAULT_DEGREE, "a_max": TailPolicy.a_max}
 
 # subcommand -> (handler, help, defaults); a handler returns (header, rows,
 # computed provenance fields in order), and a defaults dict lists the

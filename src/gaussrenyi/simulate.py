@@ -175,8 +175,8 @@ def brute_force_transfer(kind, f, y):
     """Transfer operator image at one point by plain branch summation.
 
     No tail model: sums f(V_a(y)) / (a + y)^2 for a = 1.._A_HUGE, with
-    ``_A_HUGE`` = 10**6.  Used to validate the Taylor-tail policies; the
-    truncation error is of order sup|f| / 10**6.
+    ``_A_HUGE`` = 10**6.  Used to validate the Euler-Maclaurin tail of the
+    transfer operators; the truncation error is of order sup|f| / 10**6.
     """
     check_kind(kind)
     check_unit("y", y)

@@ -9,9 +9,8 @@ here with branches V_a(y) = 1/(a+y) (Gauss) or 1 - 1/(a+y) (Renyi) and
 weight 1/(a+y)^2 in both cases.  The Renyi map is the Gauss map after
 the reflection R(x) = 1 - x, so its operator is L1 f = L0 (f o R).  The
 countable Gauss branch sum is split into an explicit part a <= a_max and
-a tail resummed through a Taylor expansion of f at the branch
-accumulation point x = 0; the tail coefficient sums collapse to Hurwitz
-zeta values zeta(s, a_max + 1 + y).
+a tail a > a_max summed by Euler-Maclaurin (DLMF 2.10.1), which reads f
+and its first three derivatives at the interior points 1/(a_max + 1 + y).
 
 Discretization collocates the operator on the Chebyshev-Lobatto nodes,
 giving a dense matrix acting on node values, built once per degree and
@@ -19,12 +18,12 @@ tail policy.  The nodes are symmetric about 1/2, so the Renyi matrix is
 the Gauss matrix with its columns reversed.  :func:`apply_transfer`
 applies the matrix and :func:`assemble_operator` returns it.  A rank-one
 correction in the constant direction restores exact mass conservation
-(q @ M == q for the quadrature weights q), which the Taylor tail alone
-cannot provide uniformly over the polynomial space.  It moves the image
-of f by |(q - q @ M) . f| (M before the fix), which the tail error bound
-does not bound: max|q - q @ M| is 4.58 at the default policy (256, 3)
-and 1.5e-2 at (64, 0); on the Gauss density at degree 128 the move is
-1e-13.  The row q is symmetric too, so the reversed columns keep the fix.
+(q @ M == q for the quadrature weights q), which the tail alone cannot
+provide uniformly over the polynomial space.  It moves the image of f by
+|(q - q @ M) . f| (M before the fix), which the tail error bound does not
+bound: at a_max 256, max|q - q @ M| is 3.8e-6, 3.6e-8, 3.5e-9 and 3.5e-10
+at degrees 32, 128, 256 and 512, and the move on the Gauss density is at
+most 1.1e-16.  The row q is symmetric, so the reversed columns keep the fix.
 
 The annealed operator of the random system choosing Gauss with
 probability 1 - eps and Renyi with probability eps is the convex
@@ -35,21 +34,20 @@ system [[I - M, 1], [q, 0]], for right-hand sides [0; 1] and [g; 0].
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache
 
 import numpy as np
+import numpy.polynomial.chebyshev as ncheb
 
-from .bounds import hurwitz_zeta, warn_if_inadmissible
+from .bounds import hurwitz_zeta, warn_if_inadmissible  # hurwitz_zeta: re-exported
 from .funcspace import (
     DEFAULT_DEGREE,
     SUP_NORM_GRID,
     ChebFn,
     chebyshev_nodes,
     chop_length,
-    norm_sup,
     quadrature_weights,
     values_to_coeffs_matrix,
 )
@@ -57,6 +55,7 @@ from .maps import MapKind, check_kind
 
 _RESIDUAL_LIMIT = 1e-12
 _NEGATIVE_LIMIT = -1e-10
+_LAH_6 = np.array([720.0, 1800.0, 1200.0, 300.0, 30.0, 1.0])  # Lah numbers L(6, i), i = 1..6
 
 
 class TailBoundWarning(UserWarning):
@@ -69,16 +68,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TailPolicy:
-    """Branch cutoff and Taylor order of the tail resummation."""
+    """Branch cutoff of the Euler-Maclaurin tail: branches a <= a_max are summed."""
 
     a_max: int = 256
-    taylor_order: int = 3
 
     def __post_init__(self):
         if self.a_max < 8:
             raise ValueError(f"a_max must be at least 8: {self.a_max!r}")
-        if not 0 <= self.taylor_order <= 4:
-            raise ValueError(f"taylor_order must be in 0..4: {self.taylor_order!r}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +106,7 @@ def _collocation_matrix(kind, degree, policy):
     """Read-only collocation matrix: explicit branches a <= a_max, tail, mass fix.
 
     Only the Gauss matrix is built, column by column in O(a_max * degree)
-    memory, with its tail resummed from exact jets at x = 0.  The Renyi
+    memory, with its tail summed by Euler-Maclaurin.  The Renyi
     map is T1 = T0 o R for the reflection R(x) = 1 - x, so L1 f = L0 (f o R);
     the nodes are symmetric (x_(n-j) = 1 - x_j), so the Renyi matrix is the
     Gauss matrix with its columns reversed, a read-only contiguous copy.
@@ -132,18 +128,17 @@ def _collocation_matrix(kind, degree, policy):
     for k in range(n):
         B[:, k] = (w * T).sum(0)
         T_prev, T = T, T * two_t - T_prev
-    # tail: Taylor jets of f at x = 0, t = -1;
-    # d^j/dx^j T_k(2x - 1) at x = 0 is (-1)^(k+j) 2^j prod_{i<j} (k^2 - i^2)/(2i + 1)
-    k = np.arange(n)
-    jet = (-1.0) ** k
-    C = values_to_coeffs_matrix(degree)
-    tail = np.zeros((n, n))
-    for j in range(policy.taylor_order + 1):
-        zeta = 1.0 / math.factorial(j) * hurwitz_zeta(j + 2, policy.a_max + 1.0 + y)
-        tail += np.outer(zeta, jet @ C)
-        jet = -2.0 * jet * (k * k - j * j) / (2 * j + 1)
-    # the tail stays in node space: folded into B before @ C it loses accuracy
-    M = B @ C + tail
+    # tail a >= A = a_max + 1 by Euler-Maclaurin on g(a) = u^2 f(u), u = 1/(a + y):
+    # int_0^u f + g/2 - B_2/2! g' - B_4/4! g''' at a = A, in f^(j)(u), s = 2u - 1
+    u = (1.0 / (policy.a_max + 1.0 + y))[:, None]
+    V = ncheb.chebvander(2.0 * u[:, 0] - 1.0, n)
+    D = np.eye(n)
+    B += V @ ncheb.chebint(D, lbnd=-1, scl=0.5)
+    for weight in (u**2 / 2 + u**3 / 6 - u**5 / 30, u**4 / 12 - u**6 / 20,
+                   -(u**7) / 60, -(u**8) / 720):
+        B += weight * (V[:, : len(D)] @ D)
+        D = ncheb.chebder(D, scl=2.0)
+    M = B @ values_to_coeffs_matrix(degree)
     # rank-one mass restoration (q @ M == q); it moves f by |(q - q @ M) . f|
     q = quadrature_weights(degree)
     M += q - q @ M
@@ -152,24 +147,28 @@ def _collocation_matrix(kind, degree, policy):
 
 
 def tail_error_bound(f, policy=TailPolicy()):
-    """Tail-model error bound for the resolved part g of f: zeta(m+3, a_max+1) sup|g^(m+1)| / (m+1)!.
+    """Euler-Maclaurin remainder bound of the tail for the resolved part of f.
 
-    g is f chopped at its standardChop plateau (:func:`chop_length`), so
-    the rounding noise in the top coefficients, which differentiation
-    amplifies like k^(2m+2), does not enter the bound.  The bound excludes
-    that rounding-level content and what the assembled tail does with it:
-    the tail reads f's endpoint jet from all coefficients, with weights
-    growing like k^(2m).  For the interpolant of the exact Gauss density
-    at degree 256 the bound reads 2.6e-13, while the operator moves it by
-    |M h0 - h0| = 5.7e-12 before the mass fix.
+    With two corrections the remainder over a >= A = a_max + 1 is at most
+    (2|B_6|/6!) int_A^inf |g^(6)| (DLMF 2.10.1), g(a) = u^2 f(u) with
+    u = 1/(a + y).  By the Lah numbers L(6, i) and Markov's majorants
+    s_i = sum_k |c_k| T_k^(i)(1) >= sup|f^(i)| on [0, 1] this is at most
+    sum_i L(6, i) A^-(5+i)/(5+i) (s_i/A^2 + 2i s_(i-1)/A + i(i-1) s_(i-2)) / 15120,
+    with c_k the coefficients of f chopped at its standardChop plateau
+    (:func:`chop_length`): rounding noise, which the majorants amplify like
+    k^(2i), stays out.  For the Gauss density s_i = i!/ln 2 exactly.
     """
-    m = policy.taylor_order
-    g = ChebFn(f.coeffs[: chop_length(f.coeffs)])
-    fact = 1.0
-    for t in range(1, m + 2):
-        g = g.derivative()
-        fact *= t
-    return hurwitz_zeta(m + 3, policy.a_max + 1.0) * norm_sup(g) / fact
+    c = np.abs(f.coeffs[: chop_length(f.coeffs)])
+    k = np.arange(len(c))
+    jet = np.ones(len(c))  # d^i/dx^i T_k(2x - 1) at x = 1
+    s = np.empty(7)
+    for i in range(7):
+        s[i] = c @ jet
+        jet = 2.0 * jet * (k * k - i * i) / (2 * i + 1)
+    A = policy.a_max + 1.0
+    i = np.arange(1, 7)
+    moments = s[1:] / A**2 + 2 * i * s[:-1] / A + i * (i - 1) * np.append(0.0, s[:-2])
+    return float(np.sum(_LAH_6 * A ** -(5.0 + i) / (5 + i) * moments)) / 15120
 
 
 def apply_transfer(kind, f, policy=TailPolicy()):
@@ -182,13 +181,13 @@ def apply_transfer(kind, f, policy=TailPolicy()):
     f : ChebFn
         Input density (any smooth function works; mass is conserved).
     policy : TailPolicy
-        Branch cutoff and Taylor order of the tail resummation.
+        Branch cutoff of the Euler-Maclaurin tail.
 
     Returns
     -------
     ChebFn interpolating the image at the collocation nodes, the cached
-    collocation matrix applied to the node values of f.  The tail
-    error bound of the chopped f (:func:`tail_error_bound`) is checked
+    collocation matrix applied to the node values of f.  The tail's
+    Euler-Maclaurin remainder bound (:func:`tail_error_bound`) is checked
     and a TailBoundWarning is emitted when it exceeds 1e-8.
     """
     check_kind(kind)
@@ -196,8 +195,7 @@ def apply_transfer(kind, f, policy=TailPolicy()):
     bound = tail_error_bound(f, policy)
     if bound > 1e-8:
         warnings.warn(
-            f"tail error bound {bound:.3e} exceeds 1e-8; "
-            f"increase a_max or taylor_order",
+            f"tail error bound {bound:.3e} exceeds 1e-8; increase a_max",
             TailBoundWarning,
             stacklevel=2,
         )
@@ -208,9 +206,8 @@ def assemble_operator(kind, degree=DEFAULT_DEGREE, policy=TailPolicy()):
     """Collocation matrix of the transfer operator at the given degree.
 
     Column j holds the node values of the operator applied to the j-th
-    nodal cardinal function: the explicit branches, the tail block and
-    the rank-one mass fix.  This is the matrix :func:`apply_transfer`
-    applies.
+    nodal cardinal function: the explicit branches, the Euler-Maclaurin
+    tail and the rank-one mass fix, the matrix :func:`apply_transfer` applies.
     """
     check_kind(kind)
     if degree < 8:

@@ -159,7 +159,6 @@ def test_validation_exit_code(tmp_path, capsys):
         (["density", "--order", "0"], "--order must be at least 1"),
         (["density", "--degree", "4"], "--degree must be at least 8"),
         (["density", "--a-max", "4"], "--a-max must be at least 8"),
-        (["density", "--taylor-order", "5"], "--taylor-order must be in 0..4"),
         (["simulate", "--samples", "0"], "--samples must be at least 1"),
         (["simulate", "--n-index", "0"], "--n-index must be at least 1"),
         (["density", "--grid", "1"], "--grid must be at least 2"),
@@ -180,7 +179,7 @@ def test_unallocatable_configuration_exit_code(capsys):
 
 
 def test_provenance_keys_in_order(tmp_path):
-    series = ["order", "degree", "a_max", "taylor_order"]
+    series = ["order", "degree", "a_max"]
     expected = {
         "density": ["eps"] + series + ["grid", "tail_error_bound", "residual_sup"],
         "digits": ["eps"] + series + ["n_max", "tail_error_bound"],
@@ -205,7 +204,7 @@ def test_provenance_keys_in_order(tmp_path):
 
 
 def test_series_defaults_echo_library(tmp_path):
-    # degree, a_max and taylor_order default to the library's own defaults
+    # degree and a_max default to the library's own defaults
     from gaussrenyi import DEFAULT_DEGREE, TailPolicy
 
     code, out = run(tmp_path, "defaults.csv", ["digits", "--n-max", "2"])
@@ -214,7 +213,6 @@ def test_series_defaults_echo_library(tmp_path):
     policy = TailPolicy()
     assert prov["degree"] == str(DEFAULT_DEGREE)
     assert prov["a_max"] == str(policy.a_max)
-    assert prov["taylor_order"] == str(policy.taylor_order)
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -48,7 +48,7 @@ def test_hurwitz_zeta_against_scipy():
             assert abs(hurwitz_zeta(s, q) - special.zeta(s, q)) < 1e-13
     qs = np.array([9.0, 20.0, 400.0])
     assert np.max(np.abs(hurwitz_zeta(3, qs) - special.zeta(3, qs))) < 1e-14
-    # the offsets of the Taylor-tail zetas, a_max + 1 + node
+    # vector offsets a_max + 1 + node, where the branch tail starts
     for a_max in (8, 256):
         qs = a_max + 1.0 + chebyshev_nodes(128)
         for s in range(2, 8):
@@ -66,8 +66,6 @@ def test_hurwitz_zeta_validation():
 def test_tail_policy_validation():
     with pytest.raises(ValueError):
         TailPolicy(a_max=4)
-    with pytest.raises(ValueError):
-        TailPolicy(taylor_order=5)
 
 
 # ------------------------------------------------------- apply_transfer
@@ -91,7 +89,7 @@ def test_transfer_of_one_is_trigamma():
     assert np.max(np.abs(g(ys) - special.polygamma(1, 1.0 + ys))) < 1e-12
     # both maps send their monomial in the distance to the accumulation
     # point, x^j (Gauss) and (1 - x)^j (Renyi), to zeta(j + 2, 1 + y); the
-    # order-3 tail model is exact on these
+    # Euler-Maclaurin remainder on these is below 1e-18
     for degree in (32, 128):
         ys = chebyshev_nodes(degree)
         for j in range(4):
@@ -125,13 +123,19 @@ def test_positivity():
 
 
 def test_tail_error_bound_ignores_rounding_noise():
-    # for h0 = 1/((1+x) ln 2) the bound is zeta(6, 257) sup|h0^(4)| / 4!
-    # with sup|h0^(4)| = 24 / ln 2 at x = 0, at every degree; without the
-    # chop, differentiating the rounding noise gave 3.3e-13 at degree 128
-    # and 8.5e-11 at degree 256
-    exact = special.zeta(6, 257) / LN2
+    # h0 = 1/((1+x) ln 2) has alternating Chebyshev coefficients, so the
+    # Markov majorants are exact, s_i = sup|h0^(i)| = i!/ln 2 at x = 0, and
+    # the Euler-Maclaurin bound at A = 257 takes this closed form at every
+    # degree; the chop keeps the noise, amplified like k^(2i), out of it
+    A = 257.0
+    s = [math.factorial(i) / LN2 for i in range(7)]
+    lah = (720, 1800, 1200, 300, 30, 1)
+    exact = sum(
+        L * A ** -(5 + i) / (5 + i) * (s[i] / A**2 + 2 * i * s[i - 1] / A + i * (i - 1) * s[i - 2])
+        for i, L in enumerate(lah, start=1)
+    ) / 15120
     rng = np.random.default_rng(31)
-    for degree in (64, 128, 256):
+    for degree in (64, 128, 256, 512):
         f = gauss_density_fn(degree)
         assert abs(tail_error_bound(f) / exact - 1.0) < 1e-5, degree
         noisy = ChebFn.from_values(f.values + 2e-14 * rng.standard_normal(degree + 1))
@@ -141,7 +145,21 @@ def test_tail_error_bound_ignores_rounding_noise():
 def test_tail_bound_warning():
     rough = ChebFn.from_callable(lambda x: math.cos(40 * math.pi * x), 128)
     with pytest.warns(TailBoundWarning):
-        apply_transfer(MapKind.GAUSS, rough)
+        apply_transfer(MapKind.GAUSS, rough, TailPolicy(a_max=8))
+
+
+def test_tail_error_bound_covers_tail_error():
+    # at a_max 8 the tail is far from exact; the a_max 4000 matrix is exact
+    # to rounding here, so the difference is the tail error of a_max 8
+    coarse, fine = TailPolicy(a_max=8), TailPolicy(a_max=4000)
+    for fcall, degree in ((lambda x: 1.0 / ((1.0 + x) * LN2), 128),
+                          (lambda x: math.exp(-x), 64),
+                          (lambda x: math.cos(40 * math.pi * x), 128)):
+        f = ChebFn.from_callable(fcall, degree)
+        images = [assemble_operator(MapKind.GAUSS, degree, p).entries @ f.values
+                  for p in (coarse, fine)]
+        err = float(np.max(np.abs(images[0] - images[1])))
+        assert 1e-10 < err <= tail_error_bound(f, coarse), degree
 
 
 # ------------------------------------------------------ assemble_operator
@@ -178,11 +196,33 @@ def test_matrix_agrees_with_apply(ops128):
 @pytest.mark.parametrize("degree", [8, 32, 128, 256])
 def test_renyi_matrix_is_reflected_gauss(degree):
     # T1 = T0 o R with R(x) = 1 - x and symmetric nodes: L1 reverses the columns of L0
-    for a_max, taylor_order in ((256, 3), (8, 0), (64, 4)):
-        policy = TailPolicy(a_max, taylor_order)
+    for a_max in (256, 8, 64):
+        policy = TailPolicy(a_max)
         m0 = assemble_operator(MapKind.GAUSS, degree, policy)
         m1 = assemble_operator(MapKind.RENYI, degree, policy)
-        assert np.array_equal(m1.entries, m0.entries[:, ::-1]), (a_max, taylor_order)
+        assert np.array_equal(m1.entries, m0.entries[:, ::-1]), a_max
+
+
+@pytest.mark.parametrize("degree", [64, 128, 256, 512])
+def test_gauss_second_eigenvalue_is_wirsing(degree):
+    # Gauss-Kuzmin-Wirsing constant (Wirsing, Acta Arith. 24, 1974)
+    wirsing = -0.3036630028987326586
+    ev = np.linalg.eigvals(assemble_operator(MapKind.GAUSS, degree).entries)
+    lam2 = ev[np.argsort(-np.abs(ev))[1]]
+    assert abs(lam2.imag) < 1e-12
+    assert abs(lam2.real / wirsing - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("degree", [128, 256, 512])
+def test_renyi_image_of_gauss_density_is_digamma(degree):
+    # L1 h0(y) = sum_a 1/((a+y)^2 ln 2 (2 - 1/(a+y))) = (psi(1+y) - psi(1/2+y)) / ln 2
+    # by partial fractions of 1/(z (2z - 1)); L1 h0 - h0 is the forcing term
+    # of the first-order response
+    y = chebyshev_nodes(degree)
+    m1 = assemble_operator(MapKind.RENYI, degree)
+    image = m1.entries @ gauss_density_fn(degree).values
+    exact = (special.digamma(1.0 + y) - special.digamma(0.5 + y)) / LN2
+    assert np.max(np.abs(image - exact)) < 5e-13
 
 
 def test_assembly_memory_is_bounded():
@@ -252,6 +292,22 @@ def test_invariant_density_annealed(ops128, series3):
     assert np.max(np.abs(m.entries @ h.values - h.values)) < 1e-12
     # cross-module consistency with the order-3 expansion
     assert norm_sup(h - series3.at(0.05)) < 3 * 0.05**4
+
+
+def test_invariant_density_degree512():
+    # each solve meets the 1e-12 residual contract inside invariant_density;
+    # near the pure-Renyi end h_eps(0) grows, and degrees 256 and 512 agree
+    ops = {d: (assemble_operator(MapKind.GAUSS, d), assemble_operator(MapKind.RENYI, d))
+           for d in (256, 512)}
+    expected = {0.9: 4.660095, 0.95: 7.416339, 0.99: 24.271333}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # eps above eps_max(2)
+        for eps in (0.0, 0.3, 0.9, 0.95, 0.99):
+            h = invariant_density(annealed(eps, *ops[512]))
+            if eps in expected:
+                coarse = invariant_density(annealed(eps, *ops[256]))
+                assert abs(h(0.0) - coarse(0.0)) < 1e-6, eps
+                assert abs(h(0.0) - expected[eps]) < 1e-6, eps
 
 
 def test_invariant_density_warns_outside_admissible(ops32):
