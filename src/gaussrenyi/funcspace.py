@@ -9,9 +9,15 @@ Evaluation uses the Clenshaw recurrence, integration and
 differentiation act exactly on the coefficient space.  Evaluation and
 :meth:`ChebFn.integrate_on` run the recurrence with the coefficients as
 Python floats, in numpy's order of operations, so they give numpy's
-``chebval`` bits; a scalar argument costs only its arithmetic.  The
-antiderivative behind ``integrate_on`` is built once per function and
-cached, like the node values.
+``chebval`` bits; a scalar argument costs only its arithmetic.  Each
+function keeps its coefficient list once, stored highest degree first,
+and the recurrence walks it front to back: numpy's loop reads
+``c[-i]`` for i = 3, 4, ..., which is the same sequence, so the walk
+does the same operations in the same order without indexing.  The
+antiderivative behind ``integrate_on`` is built once per function
+without a Python loop (:func:`_antiderivative`, numpy's ``chebint``
+recurrence written as two array passes) and cached, like the node
+values.
 
 All objects are immutable values; every operation returns a new
 function.  This makes concurrent read access safe without locking.
@@ -93,19 +99,44 @@ def quadrature_weights(degree):
     return out
 
 
-def _clenshaw(c, x):
-    """numpy's ``chebval`` loop on a list of Python floats: the same bits.
+def _clenshaw(r, x):
+    """numpy's ``chebval`` loop on the reversed coefficients: the same bits.
 
-    ``x`` is a float or an array; on a float the loop runs at the cost of
-    its arithmetic, on an array it does numpy's elementwise operations.
+    ``r`` holds the coefficients highest degree first, as Python floats
+    (or as rows, for a block of series along axis 0).  numpy starts from
+    ``c[-2], c[-1]`` and reads ``c[-i]`` for i = 3 .. len(c); walking
+    ``r`` front to back yields exactly that sequence, so the loop body
+    and the order of its operations are numpy's.  ``x`` is a float or an
+    array; on a float the loop runs at the cost of its arithmetic, on an
+    array it does numpy's elementwise operations.
     """
-    if len(c) == 1:
-        return c[0] + 0 * x
-    c0, c1 = c[-2], c[-1]
+    if len(r) == 1:
+        return r[0] + 0 * x
+    rest = iter(r)
+    c1, c0 = next(rest), next(rest)
     x2 = 2 * x
-    for i in range(3, len(c) + 1):
-        c0, c1 = c[-i] - c1, c0 + c1 * x2
+    for ck in rest:
+        c0, c1 = ck - c1, c0 + c1 * x2
     return c0 + c1 * x
+
+
+def _antiderivative(c, lbnd):
+    """Coefficients of the x-antiderivative of c along axis 0, zero at t = lbnd.
+
+    ``ncheb.chebint(c, lbnd=lbnd, scl=0.5)`` (dx = dt / 2) with the same
+    operations and the same bits, but no Python loop over the rows: each
+    output row gets its one quotient and at most one subtraction, in
+    numpy's order.  ``c`` is a vector or a block of column series.
+    """
+    c = 0.5 * c
+    n = c.shape[0]
+    k = np.arange(1, n + 1).reshape((-1,) + (1,) * (c.ndim - 1))
+    tmp = np.zeros((n + 1,) + c.shape[1:])
+    tmp[1] = c[0]
+    tmp[2:] = c[1:] / (2 * k[1:])
+    tmp[1 : n - 1] -= c[2:] / (2 * k[: n - 2])
+    tmp[0] = 0 - _clenshaw(list(tmp[::-1]), float(lbnd))
+    return tmp
 
 
 def chop_length(coeffs):
@@ -145,7 +176,7 @@ def chop_length(coeffs):
 class ChebFn:
     """Polynomial interpolant on [0, 1] in the Chebyshev basis T_k(2x - 1)."""
 
-    __slots__ = ("_coeffs", "_clist", "_values", "_anti")
+    __slots__ = ("_coeffs", "_rlist", "_values", "_anti")
 
     def __init__(self, coeffs):
         c = np.array(coeffs, dtype=float)
@@ -155,7 +186,7 @@ class ChebFn:
             raise ValueError("non-finite coefficient")
         c.setflags(write=False)
         self._coeffs = c
-        self._clist = None
+        self._rlist = None
         self._values = None
         self._anti = None
 
@@ -203,16 +234,17 @@ class ChebFn:
         return self._values
 
     def __call__(self, x):
-        if self._clist is None:
-            self._clist = self._coeffs.tolist()  # the Clenshaw sum runs on floats
+        if self._rlist is None:
+            # the Clenshaw sum walks the floats highest degree first
+            self._rlist = self._coeffs[::-1].tolist()
         if np.isscalar(x) or np.ndim(x) == 0:
             x = float(x)
             check_unit("argument", x)
-            return _clenshaw(self._clist, 2.0 * x - 1.0)
+            return _clenshaw(self._rlist, 2.0 * x - 1.0)
         arr = np.asarray(x, dtype=float)
         if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise ValueError(f"argument outside [0, 1]: {x!r}")
-        return _clenshaw(self._clist, 2.0 * arr - 1.0)
+        return _clenshaw(self._rlist, 2.0 * arr - 1.0)
 
     def integrate(self):
         """Integral over [0, 1], exact on the polynomial space."""
@@ -223,15 +255,7 @@ class ChebFn:
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValueError(f"invalid integration bounds [{lo!r}, {hi!r}]")
         if self._anti is None:
-            # 0.5 * chebint(c) (dx = dt / 2), same operations, no Python loop
-            c = self._coeffs
-            n = c.size
-            tmp = np.zeros(n + 1)
-            tmp[1] = c[0]
-            tmp[2:] = c[1:] / (2 * np.arange(2, n + 1))
-            tmp[1 : n - 1] -= c[2:] / (2 * np.arange(1, n - 1))
-            tmp[0] = 0 - _clenshaw(tmp.tolist(), 0.0)
-            self._anti = (0.5 * tmp).tolist()
+            self._anti = _antiderivative(self._coeffs, 0.0)[::-1].tolist()
         anti = self._anti
         return float(_clenshaw(anti, 2.0 * hi - 1.0) - _clenshaw(anti, 2.0 * lo - 1.0))
 

@@ -23,7 +23,7 @@ the test suite validate the resolvent-derivative identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,8 @@ class PerturbationSeries:
     h0: ChebFn
     coeffs: tuple
     order: int
+    # (float(eps), h_eps) of the last evaluation, replaced as one tuple
+    _last: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) != self.order:
@@ -46,12 +48,26 @@ class PerturbationSeries:
             )
 
     def at(self, eps):
-        """Evaluate the truncated expansion at a mixture weight eps."""
+        """Evaluate the truncated expansion at a mixture weight eps.
+
+        The last (float(eps), h_eps) pair is kept in a one-slot memo, so
+        repeated calls at one weight, as in a digit table, build h_eps and
+        its cached antiderivative once and return the same immutable
+        :class:`ChebFn`.  The memo is swapped as one tuple, so concurrent
+        readers see either the old pair or the new one, and it takes no
+        part in equality or ``repr``.
+        """
         if eps < 0.0:
             raise ValueError(f"mixture weight must be non-negative: {eps!r}")
+        eps = float(eps)
+        last = self._last
+        if last is not None and last[0] == eps:
+            return last[1]
         terms = [(1.0, self.h0)]
         terms += [(eps ** (n + 1), c) for n, c in enumerate(self.coeffs)]
-        return linear_combo(terms)
+        h = linear_combo(terms)
+        object.__setattr__(self, "_last", (eps, h))
+        return h
 
 
 def mixture_forcing_terms(h0, m1, order):

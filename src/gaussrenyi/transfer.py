@@ -46,6 +46,7 @@ from .funcspace import (
     DEFAULT_DEGREE,
     SUP_NORM_GRID,
     ChebFn,
+    _antiderivative,
     chebyshev_nodes,
     chop_length,
     quadrature_weights,
@@ -133,7 +134,7 @@ def _collocation_matrix(kind, degree, policy):
     u = (1.0 / (policy.a_max + 1.0 + y))[:, None]
     V = ncheb.chebvander(2.0 * u[:, 0] - 1.0, n)
     D = np.eye(n)
-    B += V @ ncheb.chebint(D, lbnd=-1, scl=0.5)
+    B += V @ _antiderivative(D, -1.0)
     for weight in (u**2 / 2 + u**3 / 6 - u**5 / 30, u**4 / 12 - u**6 / 20,
                    -(u**7) / 60, -(u**8) / 720):
         B += weight * (V[:, : len(D)] @ D)

@@ -7,7 +7,7 @@ import numpy.polynomial.chebyshev as ncheb
 import pytest
 
 from gaussrenyi import ChebFn, chebyshev_nodes, linear_combo, norm_cl, norm_sup
-from gaussrenyi.funcspace import chop_length
+from gaussrenyi.funcspace import _antiderivative, chop_length
 
 from conftest import random_smooth_fn
 
@@ -84,7 +84,7 @@ def test_fast_paths_bit_identical_to_numpy():
     # Python floats; they must give numpy's bits, not just numpy's values
     rng = np.random.default_rng(41)
     xs = [0.0, 1.0, 1.0 / 3.0] + sorted(rng.uniform(0.0, 1.0, 50).tolist())
-    for degree in (0, 1, 2, 3, 8, 128):
+    for degree in (0, 1, 2, 3, 8, 128, 512):
         c = rng.standard_normal(degree + 1)
         f = ChebFn(c)
         anti = 0.5 * ncheb.chebint(c)
@@ -99,6 +99,20 @@ def test_fast_paths_bit_identical_to_numpy():
                 ncheb.chebval(2.0 * hi - 1.0, anti) - ncheb.chebval(2.0 * lo - 1.0, anti)
             )
             assert f.integrate_on(lo, hi) == expected, (degree, lo, hi)
+
+
+def test_antiderivative_bit_identical_to_numpy():
+    # the loop-free recurrence behind integrate_on and the collocation
+    # tail must give chebint's bits, on series and on blocks of columns
+    rng = np.random.default_rng(47)
+    for degree in (8, 128, 512):
+        n = degree + 1
+        for c in (rng.standard_normal(n), np.eye(n)):
+            for lbnd in (-1, 0):
+                got = _antiderivative(c, lbnd)
+                expected = ncheb.chebint(c, lbnd=lbnd, scl=0.5)
+                assert got.shape == expected.shape, (degree, c.ndim, lbnd)
+                assert got.tobytes() == expected.tobytes(), (degree, c.ndim, lbnd)
 
 
 def test_chop_length():

@@ -14,6 +14,7 @@ from gaussrenyi import (
     brute_force_transfer,
     density_derivative,
     invariant_density,
+    linear_combo,
     mixture_forcing_terms,
     mixture_series,
     norm_sup,
@@ -186,6 +187,41 @@ def test_evaluate_series_mass(series3):
 def test_evaluate_series_negative_eps(series3):
     with pytest.raises(ValueError):
         series3.at(-0.1)
+
+
+def test_at_memo_returns_the_same_function(series3):
+    s = PerturbationSeries(series3.h0, series3.coeffs, 3)
+    h = s.at(0.2)
+    assert s.at(0.2) is h
+    assert s.at(0.2).integrate_on(0.1, 0.5) == h.integrate_on(0.1, 0.5)
+
+
+def test_at_memo_is_not_reused_at_another_weight(series3):
+    s = PerturbationSeries(series3.h0, series3.coeffs, 3)
+    s.at(0.3)
+    fresh = linear_combo(
+        [(1.0, s.h0)] + [(0.1 ** (n + 1), c) for n, c in enumerate(s.coeffs)]
+    )
+    got = s.at(0.1)
+    assert got.coeffs.tobytes() == fresh.coeffs.tobytes()
+    assert s.at(0.3).coeffs.tobytes() != got.coeffs.tobytes()
+
+
+def test_at_memo_keeps_the_weight_check(series3):
+    s = PerturbationSeries(series3.h0, series3.coeffs, 3)
+    h = s.at(0.1)
+    assert s.at(0.1) is h
+    with pytest.raises(ValueError):
+        s.at(-0.1)
+    assert s.at(0.1) is h  # a refused weight leaves the memo alone
+
+
+def test_at_memo_outside_equality_and_repr(series3):
+    fresh = PerturbationSeries(series3.h0, series3.coeffs, 3)
+    used = PerturbationSeries(series3.h0, series3.coeffs, 3)
+    used.at(0.1)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) and "_last" not in repr(used)
 
 
 def test_series_order_validation(h0_128, ops128):
