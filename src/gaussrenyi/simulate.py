@@ -16,12 +16,22 @@ n - 1 times and applying the digit function to the resulting state.
 Reproducibility contract: a run is a pure function of the
 configuration.  The generator is numpy's default PCG64 seeded with the
 configured seed; the initial points are drawn first (one uniform per
-sample), then the map choices: for the digits row-major per orbit, in
-blocks of whole rows (the stream of one (samples, n_index) draw in
-O(samples + block * n_index) memory); for the density one per sample
-per burn-in step.  Both oracles step their orbits in place on buffers
-allocated once per run; the stream, and every count, is that of the
-implementation that allocated fresh arrays per step.
+sample), then the map choices: for the digits row-major per orbit, for
+the density one per sample per burn-in step.  Each uniform takes the
+next 64-bit output of the generator, so draws of whole rows taken in
+order consume exactly the stream of one (samples, n_index) draw, and
+the chunks of one burn-in step taken in order that of one draw per
+sample.  Both oracles rely on this to work in pieces that stay in
+cache.  The digit oracle steps its orbits in blocks of ``_BLOCK`` and
+fills a block's selection bits from draws of whole rows, about
+``_BLOCK`` uniforms each, compared where they lie and transposed as
+bits, so that every step reads one contiguous row; a late digit index
+shortens the block so that its bits stay within ``_SEL_BITS``, which
+keeps memory O(samples + n_index).  The density oracle draws, compares
+and steps each burn-in step in chunks of ``_BLOCK`` orbits.  All
+buffers are allocated once per run and the orbits step in place; the
+stream, and every count, is that of the implementation that drew and
+stepped whole arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +43,8 @@ import numpy as np
 
 from .maps import MapKind, check_kind, check_unit, map_step
 
-_BLOCK_ROWS = 1 << 14  # orbits per block of simulate_digit_freq
+_BLOCK = 1 << 15  # orbits stepped together, and uniforms per draw
+_SEL_BITS = 1 << 22  # selection bits held at once (4 MiB): the memory bound in n_index
 _A_HUGE = 10**6  # branches summed by brute_force_transfer
 
 
@@ -130,16 +141,22 @@ def simulate_digit_freq(cfg, n_max=100):
         raise ValueError(f"n_max must be positive: {n_max!r}")
     rng = np.random.default_rng(cfg.seed)
     x = rng.random(cfg.samples)  # stepped in place, block by block
-    rows = min(cfg.samples, _BLOCK_ROWS)
-    u = np.empty((rows, cfg.n_index))
-    sel = np.zeros((cfg.n_index + 1, rows), dtype=bool)  # row 0: the Gauss step, then the choices
+    n = cfg.n_index
+    rows = min(cfg.samples, _BLOCK, max(1, _SEL_BITS // (n + 1)))
+    m = min(rows, max(1, _BLOCK // n))  # orbits per draw: whole rows
+    u = np.empty((m, n))
+    drawn = np.empty((m, n), dtype=bool)
+    sel = np.zeros((n + 1, rows), dtype=bool)  # row 0: the Gauss step, then the choices
     digit = np.empty(rows)
     binned = np.zeros(n_max + 2, dtype=np.int64)
     for start in range(0, cfg.samples, rows):
         r = min(rows, cfg.samples - start)
         xb, k = x[start : start + r], digit[:r]
-        rng.random(out=u[:r])
-        np.less(u[:r].T, cfg.eps, out=sel[1:, :r])  # one contiguous row per step
+        for s in range(0, r, m):
+            c = min(m, r - s)
+            rng.random(out=u[:c])
+            np.less(u[:c], cfg.eps, out=drawn[:c])
+            np.copyto(sel[1:, s : s + c], drawn[:c].T)  # one row per step
         for bits in sel[:-1, :r]:
             map_step(bits, xb, out=(xb, k))
         # an inf digit (the fixed point: digit undefined) lands in overflow
@@ -161,11 +178,15 @@ def empirical_density(cfg, bins=100):
         raise ValueError(f"bins must be positive: {bins!r}")
     rng = np.random.default_rng(cfg.seed)
     x = rng.random(cfg.samples)
-    u = np.empty(cfg.samples)
-    bits = np.empty(cfg.samples, dtype=bool)
+    chunk = min(cfg.samples, _BLOCK)
+    u = np.empty(chunk)
+    bits = np.empty(chunk, dtype=bool)
     for _ in range(cfg.burn_in):
-        np.less(rng.random(out=u), cfg.eps, out=bits)
-        map_step(bits, x, out=(x, u))  # the draws are spent: u takes the digits
+        for start in range(0, cfg.samples, chunk):
+            xb = x[start : start + chunk]
+            ub, bb = u[: xb.size], bits[: xb.size]
+            np.less(rng.random(out=ub), cfg.eps, out=bb)
+            map_step(bb, xb, out=(xb, ub))  # the draws are spent: u takes the digits
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts, _ = np.histogram(x, bins=edges)
     return DensityHistogram(counts / cfg.samples)

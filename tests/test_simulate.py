@@ -128,33 +128,54 @@ def test_seeded_stream_golden():
         assert law.overflow == overflow, (samples, n_index)
 
 
-def test_digit_freq_memory_is_bounded():
-    # the map choices are streamed in row blocks, never held for all samples
+@pytest.mark.parametrize("n_index", [1, 3, 20])
+@pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
+def test_block_sizes_do_not_change_the_stream(monkeypatch, eps, n_index):
+    # odd block sizes split the orbits and the draws at other places and
+    # end in partial blocks; the stream, counts and bins stay the same
+    from gaussrenyi import simulate
+
+    cfg = SimConfig(eps=eps, samples=1001, n_index=n_index, seed=7, burn_in=50)
+    law, hist = simulate_digit_freq(cfg, 30), empirical_density(cfg, 20)
+    for block, sel_bits in ((7, 40), (5, 13)):
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        monkeypatch.setattr(simulate, "_SEL_BITS", sel_bits)
+        small = simulate_digit_freq(cfg, 30)
+        assert small.counts.tolist() == law.counts.tolist(), (block, sel_bits)
+        assert small.overflow == law.overflow, (block, sel_bits)
+        assert empirical_density(cfg, 20).masses.tolist() == hist.masses.tolist()
+
+
+def _traced_peak(fn, *args):
     import tracemalloc
 
-    cfg = SimConfig(eps=0.3, samples=10**6, n_index=20, seed=5)
     tracemalloc.start()
     try:
-        simulate_digit_freq(cfg, 100)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+
+
+def test_digit_freq_memory_is_bounded():
+    # the map choices are drawn in sub-blocks and held as bits for one
+    # block of orbits: the positions plus a few hundred kB of buffers
+    cfg = SimConfig(eps=0.3, samples=10**6, n_index=20, seed=5)
+    assert _traced_peak(simulate_digit_freq, cfg, 100) < 8 * cfg.samples + 3 * 2**20
+
+
+def test_digit_freq_memory_is_bounded_in_n_index():
+    # a late digit index shortens the block of orbits, so the selection bits
+    # stay within 4 MiB: memory is O(samples + n_index), not O(block * n_index)
+    cfg = SimConfig(eps=0.3, samples=4096, n_index=2000, seed=5)
+    assert _traced_peak(simulate_digit_freq, cfg, 100) < 6 * 2**20
 
 
 def test_empirical_density_memory_is_bounded():
-    # the orbits step in place: positions, one draw buffer reused for the
-    # digits, and the bits; no per-step arrays
-    import tracemalloc
-
+    # the orbits step in place, chunk by chunk: positions, one draw chunk
+    # reused for the digits, and the bits; no per-step arrays
     cfg = SimConfig(eps=0.3, samples=10**6, seed=5, burn_in=50)
-    tracemalloc.start()
-    try:
-        empirical_density(cfg, 100)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * 8 * cfg.samples
+    assert _traced_peak(empirical_density, cfg, 100) < 8 * cfg.samples + 2 * 2**20
 
 
 def test_law_bookkeeping():
@@ -201,11 +222,20 @@ _GOLDEN_DENSITY = [
 ]
 
 
+# the same with 100_003 samples, which span several chunks and end in a
+# partial one; recorded from the implementation that stepped whole arrays
+_GOLDEN_DENSITY_CHUNKS = [
+    7879, 7264, 6748, 6492, 6040, 5772, 5309, 5276, 5014, 4795,
+    4525, 4473, 4134, 4062, 3890, 3848, 3790, 3652, 3625, 3415,
+]
+
+
 def test_density_stream_golden():
     # pins the seeded density stream: every bin count exactly
-    cfg = SimConfig(eps=0.3, samples=10_007, seed=7, burn_in=50)
-    hist = empirical_density(cfg, bins=20)
-    assert hist.masses.tolist() == [c / cfg.samples for c in _GOLDEN_DENSITY]
+    for samples, golden in ((10_007, _GOLDEN_DENSITY), (100_003, _GOLDEN_DENSITY_CHUNKS)):
+        cfg = SimConfig(eps=0.3, samples=samples, seed=7, burn_in=50)
+        hist = empirical_density(cfg, bins=20)
+        assert hist.masses.tolist() == [c / cfg.samples for c in golden], samples
 
 
 def test_empirical_density_matches_gauss_measure():
