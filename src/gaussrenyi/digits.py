@@ -127,7 +127,7 @@ class DigitLaw:
     tail_mass: float
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = np.array(self.probs, dtype=float)
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 

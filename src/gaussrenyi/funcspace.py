@@ -14,10 +14,8 @@ function keeps its coefficient list once, stored highest degree first,
 and the recurrence walks it front to back: numpy's loop reads
 ``c[-i]`` for i = 3, 4, ..., which is the same sequence, so the walk
 does the same operations in the same order without indexing.  The
-antiderivative behind ``integrate_on`` is built once per function
-without a Python loop (:func:`_antiderivative`, numpy's ``chebint``
-recurrence written as two array passes) and cached, like the node
-values.
+antiderivative behind ``integrate_on`` is numpy's ``chebint``, built
+once per function and cached, like the node values.
 
 All objects are immutable values; every operation returns a new
 function.  This makes concurrent read access safe without locking.
@@ -102,13 +100,16 @@ def quadrature_weights(degree):
 def _clenshaw(r, x):
     """numpy's ``chebval`` loop on the reversed coefficients: the same bits.
 
-    ``r`` holds the coefficients highest degree first, as Python floats
-    (or as rows, for a block of series along axis 0).  numpy starts from
-    ``c[-2], c[-1]`` and reads ``c[-i]`` for i = 3 .. len(c); walking
-    ``r`` front to back yields exactly that sequence, so the loop body
-    and the order of its operations are numpy's.  ``x`` is a float or an
-    array; on a float the loop runs at the cost of its arithmetic, on an
-    array it does numpy's elementwise operations.
+    ``r`` holds the coefficients highest degree first, as Python floats.
+    numpy starts from ``c[-2], c[-1]`` and reads ``c[-i]`` for
+    i = 3 .. len(c); walking ``r`` front to back yields exactly that
+    sequence, so the loop body and the order of its operations are
+    numpy's.  ``x`` is a float or an array; on a float the loop runs at
+    the cost of its arithmetic, on an array it does numpy's elementwise
+    operations.  This is the package's one hand-written copy of numpy's
+    Chebyshev calculus: a 1000-digit law runs about 8000 scalar sums,
+    and ``chebval``, looping on numpy scalars, costs about five times as
+    much per sum at degree 128.
     """
     if len(r) == 1:
         return r[0] + 0 * x
@@ -118,25 +119,6 @@ def _clenshaw(r, x):
     for ck in rest:
         c0, c1 = ck - c1, c0 + c1 * x2
     return c0 + c1 * x
-
-
-def _antiderivative(c, lbnd):
-    """Coefficients of the x-antiderivative of c along axis 0, zero at t = lbnd.
-
-    ``ncheb.chebint(c, lbnd=lbnd, scl=0.5)`` (dx = dt / 2) with the same
-    operations and the same bits, but no Python loop over the rows: each
-    output row gets its one quotient and at most one subtraction, in
-    numpy's order.  ``c`` is a vector or a block of column series.
-    """
-    c = 0.5 * c
-    n = c.shape[0]
-    k = np.arange(1, n + 1).reshape((-1,) + (1,) * (c.ndim - 1))
-    tmp = np.zeros((n + 1,) + c.shape[1:])
-    tmp[1] = c[0]
-    tmp[2:] = c[1:] / (2 * k[1:])
-    tmp[1 : n - 1] -= c[2:] / (2 * k[: n - 2])
-    tmp[0] = 0 - _clenshaw(list(tmp[::-1]), float(lbnd))
-    return tmp
 
 
 def chop_length(coeffs):
@@ -255,7 +237,7 @@ class ChebFn:
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValueError(f"invalid integration bounds [{lo!r}, {hi!r}]")
         if self._anti is None:
-            self._anti = _antiderivative(self._coeffs, 0.0)[::-1].tolist()
+            self._anti = ncheb.chebint(self._coeffs, scl=0.5)[::-1].tolist()
         anti = self._anti
         return float(_clenshaw(anti, 2.0 * hi - 1.0) - _clenshaw(anti, 2.0 * lo - 1.0))
 

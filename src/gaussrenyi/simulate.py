@@ -77,7 +77,7 @@ class EmpiricalLaw:
     overflow: int
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
+        c = np.array(self.counts, dtype=np.int64)
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 
@@ -100,7 +100,7 @@ class DensityHistogram:
     masses: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.masses, dtype=float)
+        m = np.array(self.masses, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)
 

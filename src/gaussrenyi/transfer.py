@@ -46,7 +46,6 @@ from .funcspace import (
     DEFAULT_DEGREE,
     SUP_NORM_GRID,
     ChebFn,
-    _antiderivative,
     chebyshev_nodes,
     chop_length,
     quadrature_weights,
@@ -91,7 +90,7 @@ class OperatorMatrix:
     eps: float | None = None
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
+        e = np.array(self.entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1] or e.size == 0:
             raise ValueError(f"entries must be a non-empty square matrix, got {e.shape}")
         e.setflags(write=False)
@@ -134,7 +133,7 @@ def _collocation_matrix(kind, degree, policy):
     u = (1.0 / (policy.a_max + 1.0 + y))[:, None]
     V = ncheb.chebvander(2.0 * u[:, 0] - 1.0, n)
     D = np.eye(n)
-    B += V @ _antiderivative(D, -1.0)
+    B += V @ ncheb.chebint(D, lbnd=-1, scl=0.5)
     for weight in (u**2 / 2 + u**3 / 6 - u**5 / 30, u**4 / 12 - u**6 / 20,
                    -(u**7) / 60, -(u**8) / 720):
         B += weight * (V[:, : len(D)] @ D)
@@ -227,16 +226,20 @@ def annealed(eps, m0, m1):
 
 
 def _bordered_solve(m, rhs):
-    """Solve [[I - M, 1], [q, 0]] [u; c] = rhs for the quadrature row q; returns u."""
+    """Solve [[I - M, 1], [q, 0]] [u; c] = rhs for the quadrature row q.
+
+    Returns u and its residual max|u - M u - rhs[:n]| in (I - M) u = rhs[:n].
+    """
     n = m.degree + 1
     B = np.zeros((n + 1, n + 1))
     B[:n, :n] = np.eye(n) - m.entries
     B[:n, n] = 1.0
     B[n, :n] = quadrature_weights(m.degree)
     try:
-        return np.linalg.solve(B, rhs)[:n]
+        u = np.linalg.solve(B, rhs)[:n]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"bordered system is singular: {exc}") from exc
+    return u, float(np.max(np.abs(u - m.entries @ u - rhs[:n])))
 
 
 def invariant_density(m):
@@ -252,8 +255,7 @@ def invariant_density(m):
         warn_if_inadmissible(m.eps)
     rhs = np.zeros(m.degree + 2)
     rhs[-1] = 1.0
-    v = _bordered_solve(m, rhs)
-    res = float(np.max(np.abs(m.entries @ v - v)))
+    v, res = _bordered_solve(m, rhs)
     if res > _RESIDUAL_LIMIT:
         raise ConvergenceError(f"fixed-point residual {res:.3e} exceeds 1e-12")
     small_negative = (v < 0.0) & (v >= _NEGATIVE_LIMIT)
@@ -282,8 +284,7 @@ def resolvent_solve(m, g):
     mean = g.integrate()
     if abs(mean) > 1e-10:
         raise ValueError(f"right-hand side must have zero mean, got {mean:.3e}")
-    u = _bordered_solve(m, np.append(g.values, 0.0))
-    res = float(np.max(np.abs(u - m.entries @ u - g.values)))
+    u, res = _bordered_solve(m, np.append(g.values, 0.0))
     if res > 1e-9:
         raise ConvergenceError(f"resolvent residual {res:.3e} exceeds 1e-9")
     return ChebFn.from_values(u)

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import gaussrenyi.transfer as transfer_mod
 from gaussrenyi import (
@@ -39,9 +38,6 @@ from gaussrenyi import (
 )
 
 from conftest import random_smooth_fn
-
-# the series pipeline warns at no admissible weight
-pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 
 LN2 = math.log(2.0)
 

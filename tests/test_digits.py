@@ -155,15 +155,21 @@ def test_law_matches_point_queries_exactly(series3):
             assert law.probs[n - 1] == digit_probability(n, eps, series3), (eps, n)
 
 
-def test_law_avoids_numpy_chebint(series3, monkeypatch):
-    # the antiderivative is built once per density without numpy's
-    # per-coefficient Python loop
-    def refuse(*args, **kwargs):
-        raise AssertionError("numpy chebint called")
+def test_law_builds_one_antiderivative(series3, monkeypatch):
+    # every digit reads the one memoised h_eps and its one cached
+    # antiderivative; a fresh series, since the fixture's memo may hold eps
+    calls = []
+    chebint = ncheb.chebint
 
-    monkeypatch.setattr(ncheb, "chebint", refuse)
-    law = digit_law(0.1, series3, 50)
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return chebint(*args, **kwargs)
+
+    monkeypatch.setattr(ncheb, "chebint", counting)
+    fresh = PerturbationSeries(series3.h0, series3.coeffs, 3)
+    law = digit_law(0.1, fresh, 50)
     assert law.probs.shape == (50,)
+    assert len(calls) == 1
 
 
 def test_law_tail(series3):

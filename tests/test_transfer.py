@@ -10,6 +10,9 @@ from scipy import special
 from gaussrenyi import (
     ChebFn,
     ConvergenceError,
+    DensityHistogram,
+    DigitLaw,
+    EmpiricalLaw,
     MapKind,
     OperatorMatrix,
     TailBoundWarning,
@@ -252,6 +255,22 @@ def test_assemble_validation():
             OperatorMatrix(np.zeros(shape))
 
 
+def test_records_copy_the_callers_array():
+    # a record freezes its own copy; the caller's array stays theirs
+    records = [
+        (lambda a: OperatorMatrix(a).entries, np.eye(9)),
+        (lambda a: DigitLaw(0.1, 3, a, 0.0).probs, np.full(5, 0.2)),
+        (lambda a: EmpiricalLaw(a, 0).counts, np.arange(5, dtype=np.int64)),
+        (lambda a: DensityHistogram(a).masses, np.full(4, 0.25)),
+    ]
+    for read, a in records:
+        kept = read(a)
+        before = kept.copy()
+        assert a.flags.writeable and not kept.flags.writeable
+        a[0] += 1
+        assert np.array_equal(kept, before)
+
+
 # ------------------------------------------------------------- annealed
 
 
@@ -318,8 +337,13 @@ def test_invariant_density_warns_outside_admissible(ops32):
 
 def test_invariant_density_rejects_pure_renyi(ops32):
     # at eps = 1 the Renyi density 1/x is not integrable; no
-    # discretized fixed density passes the contract
-    with pytest.raises(ConvergenceError), pytest.warns(UserWarning, match="admissible"):
+    # discretized fixed density passes the contract; the solve clamps
+    # small negative node values on its way to the failure
+    with (
+        pytest.raises(ConvergenceError),
+        pytest.warns(UserWarning, match="admissible"),
+        pytest.warns(UserWarning, match="clamped"),
+    ):
         invariant_density(annealed(1.0, *ops32))
 
 
