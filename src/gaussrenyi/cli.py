@@ -38,7 +38,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import c_bound, eps_max, theta_bound
+from .bounds import c_bound, eps_max, theta_bound, warn_if_inadmissible
 from .digits import digit_law, gauss_kuzmin, gauss_kuzmin_tail
 from .funcspace import DEFAULT_DEGREE, SUP_NORM_GRID
 from .maps import MapKind
@@ -119,6 +119,7 @@ def _series_pipeline(args):
 
 
 def _cmd_density(args):
+    warn_if_inadmissible(args.eps)
     m0, m1, series, bound = _series_pipeline(args)
     h_eps = series.at(args.eps)
     res = residual(args.eps, h_eps, m0, m1)
@@ -133,32 +134,27 @@ def _cmd_digits(args):
     _, _, series, bound = _series_pipeline(args)
     law = digit_law(args.eps, series, args.n_max)
     header = ["N", "p_approx", "p_gauss_kuzmin"]
-    rows = [
-        [n, float(law.probs[n - 1]), gauss_kuzmin(n)] for n in range(1, args.n_max + 1)
-    ]
-    rows.append(["tail", law.tail_mass, gauss_kuzmin_tail(args.n_max)])
-    rows.append(
-        ["total", float(law.probs.sum()) + law.tail_mass,
-         sum(gauss_kuzmin(n) for n in range(1, args.n_max + 1)) + gauss_kuzmin_tail(args.n_max)]
-    )
+    gk = [gauss_kuzmin(n) for n in range(1, args.n_max + 1)]
+    gk_tail = gauss_kuzmin_tail(args.n_max)
+    rows = [[n, float(law.probs[n - 1]), gk[n - 1]] for n in range(1, args.n_max + 1)]
+    rows.append(["tail", law.tail_mass, gk_tail])
+    rows.append(["total", float(law.probs.sum()) + law.tail_mass, sum(gk) + gk_tail])
     return header, rows, {"tail_error_bound": bound}
 
 
 def _cmd_convergence(args):
     m0, m1, series, bound = _series_pipeline(args)
-    references = {}
-    for eps in _CONVERGENCE_GRID:
-        references[eps] = invariant_density(annealed(eps, m0, m1))
+    grid = np.linspace(0.0, 1.0, SUP_NORM_GRID)
+    references = {eps: invariant_density(annealed(eps, m0, m1))(grid) for eps in _CONVERGENCE_GRID}
     header = ["eps", "k", "sup_error_vs_reference", "residual", "fitted_slope"]
     rows = []
-    grid = np.linspace(0.0, 1.0, SUP_NORM_GRID)
     for k in range(1, args.order + 1):
         truncated = type(series)(series.h0, series.coeffs[:k], k)
         errors = []
         residuals = []
         for eps in _CONVERGENCE_GRID:
             h_k = truncated.at(eps)
-            errors.append(float(np.max(np.abs(h_k(grid) - references[eps](grid)))))
+            errors.append(float(np.max(np.abs(h_k(grid) - references[eps]))))
             residuals.append(residual(eps, h_k, m0, m1))
         slope = float(np.polyfit(np.log(_CONVERGENCE_GRID), np.log(errors), 1)[0])
         for eps, err, res in zip(_CONVERGENCE_GRID, errors, residuals):

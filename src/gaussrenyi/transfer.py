@@ -13,10 +13,11 @@ a tail a > a_max summed by Euler-Maclaurin (DLMF 2.10.1), which reads f
 and its first three derivatives at the interior points 1/(a_max + 1 + y).
 
 Discretization collocates the operator on the Chebyshev-Lobatto nodes,
-giving a dense matrix acting on node values, built once per degree and
-tail policy.  The nodes are symmetric about 1/2, so the Renyi matrix is
-the Gauss matrix with its columns reversed.  :func:`apply_transfer`
-applies the matrix and :func:`assemble_operator` returns it.  A rank-one
+giving a dense matrix acting on node values.  One Gauss matrix is built
+and cached per degree and a_max.  The nodes are symmetric about 1/2, so
+the Renyi matrix is the Gauss matrix with its columns reversed, and
+:func:`assemble_operator` is the one place that reflects it.
+:func:`apply_transfer` applies the matrix that it returns.  A rank-one
 correction in the constant direction restores exact mass conservation
 (q @ M == q for the quadrature weights q), which the tail alone cannot
 provide uniformly over the polynomial space.  It moves the image of f by
@@ -54,6 +55,7 @@ from .funcspace import (
 from .maps import MapKind, check_kind
 
 _RESIDUAL_LIMIT = 1e-12
+_RESOLVENT_LIMIT = 1e-9
 _NEGATIVE_LIMIT = -1e-10
 _LAH_6 = np.array([720.0, 1800.0, 1200.0, 300.0, 30.0, 1.0])  # Lah numbers L(6, i), i = 1..6
 
@@ -102,20 +104,12 @@ class OperatorMatrix:
 
 
 @lru_cache(maxsize=16)
-def _collocation_matrix(kind, degree, policy):
-    """Read-only collocation matrix: explicit branches a <= a_max, tail, mass fix.
+def _collocation_matrix(degree, policy):
+    """Read-only Gauss collocation matrix: explicit branches a <= a_max, tail, mass fix.
 
-    Only the Gauss matrix is built, column by column in O(a_max * degree)
-    memory, with its tail summed by Euler-Maclaurin.  The Renyi
-    map is T1 = T0 o R for the reflection R(x) = 1 - x, so L1 f = L0 (f o R);
-    the nodes are symmetric (x_(n-j) = 1 - x_j), so the Renyi matrix is the
-    Gauss matrix with its columns reversed, a read-only contiguous copy.
+    Built column by column in O(a_max * degree) memory, with its tail
+    summed by Euler-Maclaurin.
     """
-    if kind is MapKind.RENYI:
-        gauss = _collocation_matrix(MapKind.GAUSS, degree, policy)
-        M = np.ascontiguousarray(gauss[:, ::-1])
-        M.setflags(write=False)
-        return M
     y = chebyshev_nodes(degree)
     a = np.arange(1, policy.a_max + 1, dtype=float)[:, None]
     w = 1.0 / (a + y[None, :]) ** 2
@@ -185,13 +179,13 @@ def apply_transfer(kind, f, policy=TailPolicy()):
 
     Returns
     -------
-    ChebFn interpolating the image at the collocation nodes, the cached
-    collocation matrix applied to the node values of f.  The tail's
+    ChebFn interpolating the image at the collocation nodes, the matrix of
+    :func:`assemble_operator` applied to the node values of f.  The tail's
     Euler-Maclaurin remainder bound (:func:`tail_error_bound`) is checked
-    and a TailBoundWarning is emitted when it exceeds 1e-8.
+    and a TailBoundWarning is emitted when it exceeds 1e-8.  Raises
+    ValueError when f.degree is below 8, as :func:`assemble_operator` does.
     """
-    check_kind(kind)
-    M = _collocation_matrix(kind, f.degree, policy)
+    M = assemble_operator(kind, f.degree, policy).entries
     bound = tail_error_bound(f, policy)
     if bound > 1e-8:
         warnings.warn(
@@ -208,11 +202,15 @@ def assemble_operator(kind, degree=DEFAULT_DEGREE, policy=TailPolicy()):
     Column j holds the node values of the operator applied to the j-th
     nodal cardinal function: the explicit branches, the Euler-Maclaurin
     tail and the rank-one mass fix, the matrix :func:`apply_transfer` applies.
+    The Renyi map is T1 = T0 o R for the reflection R(x) = 1 - x, so
+    L1 f = L0 (f o R); the nodes are symmetric (x_(n-j) = 1 - x_j), so the
+    Renyi matrix is the cached Gauss matrix with its columns reversed.
     """
     check_kind(kind)
     if degree < 8:
         raise ValueError(f"degree must be at least 8: {degree!r}")
-    return OperatorMatrix(_collocation_matrix(kind, degree, policy))
+    M = _collocation_matrix(degree, policy)
+    return OperatorMatrix(M[:, ::-1] if kind is MapKind.RENYI else M)
 
 
 def annealed(eps, m0, m1):
@@ -256,8 +254,8 @@ def invariant_density(m):
     rhs = np.zeros(m.degree + 2)
     rhs[-1] = 1.0
     v, res = _bordered_solve(m, rhs)
-    if res > _RESIDUAL_LIMIT:
-        raise ConvergenceError(f"fixed-point residual {res:.3e} exceeds 1e-12")
+    if not res <= _RESIDUAL_LIMIT:  # also catches a NaN residual
+        raise ConvergenceError(f"fixed-point residual {res:.3e} exceeds {_RESIDUAL_LIMIT:g}")
     small_negative = (v < 0.0) & (v >= _NEGATIVE_LIMIT)
     if np.any(small_negative):
         warnings.warn(
@@ -285,6 +283,6 @@ def resolvent_solve(m, g):
     if abs(mean) > 1e-10:
         raise ValueError(f"right-hand side must have zero mean, got {mean:.3e}")
     u, res = _bordered_solve(m, np.append(g.values, 0.0))
-    if res > 1e-9:
-        raise ConvergenceError(f"resolvent residual {res:.3e} exceeds 1e-9")
+    if not res <= _RESOLVENT_LIMIT:  # also catches a NaN residual
+        raise ConvergenceError(f"resolvent residual {res:.3e} exceeds {_RESOLVENT_LIMIT:g}")
     return ChebFn.from_values(u)

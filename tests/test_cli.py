@@ -149,6 +149,15 @@ def test_byte_identical_reruns(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["density", "digits"])
+def test_inadmissible_eps_warns(tmp_path, command):
+    # eps 0.9 is a probability, so the run succeeds, but it lies beyond eps_max(2)
+    with pytest.warns(UserWarning, match="admissible"):
+        code, out = run(tmp_path, f"{command}.csv", [command, "--eps", "0.9"] + FAST)
+    assert code == 0
+    assert "admissible" not in out.read_text()
+
+
 def test_validation_exit_code(tmp_path, capsys):
     assert main(["density", "--eps", "2.0"]) == 1
     assert main(["digits", "--n-max", "0"]) == 1

@@ -244,9 +244,22 @@ def test_assembly_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
+def test_one_cached_matrix_serves_both_maps():
+    from gaussrenyi import transfer as transfer_mod
+
+    transfer_mod._collocation_matrix.cache_clear()
+    policy = TailPolicy(a_max=64)
+    for kind in (MapKind.GAUSS, MapKind.RENYI):
+        assemble_operator(kind, 16, policy)
+    assert transfer_mod._collocation_matrix.cache_info().currsize == 1
+
+
 def test_assemble_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree must be at least 8"):
         assemble_operator(MapKind.GAUSS, 4)
+    # apply_transfer takes the operator from assemble_operator, degree floor included
+    with pytest.raises(ValueError, match="degree must be at least 8"):
+        apply_transfer(MapKind.GAUSS, ChebFn.constant(1.0))
     assert OperatorMatrix(np.eye(9)).degree == 8
     with pytest.raises(TypeError):
         OperatorMatrix(np.eye(9), 8)  # the degree is derived, eps is keyword-only
@@ -359,6 +372,16 @@ def test_invariant_density_rejects_singular_system():
     # every density is a fixed point of the identity, so none is singled out
     with pytest.raises(ConvergenceError, match="singular"):
         invariant_density(OperatorMatrix(np.eye(9)))
+
+
+def test_solves_reject_nan_operator():
+    # a NaN residual fails both gates instead of reaching ChebFn as bad input
+    nan = OperatorMatrix(np.full((9, 9), np.nan))
+    with pytest.raises(ConvergenceError, match="fixed-point residual nan"):
+        invariant_density(nan)
+    g = ChebFn(np.eye(9)[1])  # T_1(2x - 1) has zero mean
+    with pytest.raises(ConvergenceError, match="resolvent residual nan"):
+        resolvent_solve(nan, g)
 
 
 def test_invariant_density_continuity(ops128):
