@@ -18,7 +18,8 @@ files.  The ``tail_error_bound`` header field is
 :func:`gaussrenyi.transfer.tail_error_bound` of the base density, chopped
 at its rounding plateau: the Euler-Maclaurin remainder bound of the
 branch tail beyond ``a_max``.  Warnings go to stderr, never into the
-data stream.  Exit codes:
+data stream: each distinct message once, as ``gaussrenyi: warning: ...``.
+Exit codes:
 0 success, 1 invalid configuration (or one too large to allocate), 2 numerical failure.
 
 ``_FLAGS`` and ``_COMMANDS`` are the one place a flag is declared: its
@@ -34,6 +35,7 @@ import argparse
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -230,6 +232,20 @@ def _validate(args):
             raise ValueError(f"{_flag(name)} {message}")
 
 
+def _run(args):
+    # a CLI user gets one line per distinct warning, not the package's
+    # source lines that Python's default format points at
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            _validate(args)
+            header, rows, computed = _COMMANDS[args.command][0](args)
+            _write_table(args, _base_provenance(args, **computed), header, rows)
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"gaussrenyi: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -237,9 +253,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        _validate(args)
-        header, rows, computed = _COMMANDS[args.command][0](args)
-        _write_table(args, _base_provenance(args, **computed), header, rows)
+        _run(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"gaussrenyi: {exc}", file=sys.stderr)
         return 1

@@ -49,6 +49,14 @@ def map_step(bits, x, out=None):
     of float arrays of the broadcast shape of bits and x that receive image
     and digit and are returned; image may be x itself, stepping an orbit
     in place.  No validation.
+
+    The reciprocal is ``divide(1.0, z)``: it gives the bits of
+    ``reciprocal``, and numpy (2.4, x86-64) has an AVX2 loop for the
+    division but only a baseline loop for ``reciprocal``.  NaN becomes 0
+    by a copy masked with ``isnan``, not by ``fmax(image, 0.0)``, whose
+    scalar operand leaves the contiguous loop; the mask, one byte per
+    element, is the only temporary.  The image is never negative, so the
+    two agree bit for bit.
     """
     if out is None:
         shape = np.broadcast_shapes(np.shape(bits), np.shape(x))
@@ -57,10 +65,10 @@ def map_step(bits, x, out=None):
     np.subtract(bits, x, out=image)
     np.abs(image, out=image)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.reciprocal(image, out=image)  # 1/0 = inf
+        np.divide(1.0, image, out=image)  # 1/0 = inf
         np.floor(image, out=digit)
         np.subtract(image, digit, out=image)  # inf - inf = NaN
-    np.fmax(image, 0.0, out=image)  # NaN -> 0
+    np.copyto(image, 0.0, where=np.isnan(image))  # NaN -> 0
     return image, digit
 
 

@@ -172,6 +172,24 @@ def test_law_builds_one_antiderivative(series3, monkeypatch):
     assert len(calls) == 1
 
 
+def test_law_sums_each_cell_end_once(series3, monkeypatch):
+    # neighbouring digit cells share their ends, and the antiderivative's
+    # memo sums each of the 2 (n_max + 1) ends once, not 8 sums per digit
+    from gaussrenyi import funcspace
+
+    calls = []
+    clenshaw = funcspace._clenshaw
+
+    def counting(r, x):
+        calls.append(1)
+        return clenshaw(r, x)
+
+    monkeypatch.setattr(funcspace, "_clenshaw", counting)
+    fresh = PerturbationSeries(series3.h0, series3.coeffs, 3)
+    digit_law(0.1, fresh, 1000)
+    assert len(calls) <= 2 * 1001 + 8
+
+
 def test_law_tail(series3):
     law = digit_law(0.05, series3, 50)
     assert 0.0 < law.tail_mass < 0.03

@@ -1,6 +1,7 @@
 """Function space: interpolation, calculus and norms on [0, 1]."""
 
 import math
+import pickle
 
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
@@ -93,8 +94,9 @@ def test_fast_paths_bit_identical_to_numpy():
         for arr in (np.array(xs), np.array(xs[:52]).reshape(4, 13)):
             got, expected = f(arr), ncheb.chebval(2.0 * arr - 1.0, c)
             assert got.shape == expected.shape and np.all(got == expected), degree
-        for lo, hi in zip(xs, xs[1:] + [1.0]):
-            lo, hi = min(lo, hi), max(lo, hi)
+        spans = [(min(lo, hi), max(lo, hi)) for lo, hi in zip(xs, xs[1:] + [1.0])]
+        # repeated and reversed queries read the memo of the antiderivative
+        for lo, hi in spans + spans[::-1] + spans[:3] * 2:
             expected = float(
                 ncheb.chebval(2.0 * hi - 1.0, anti) - ncheb.chebval(2.0 * lo - 1.0, anti)
             )
@@ -116,6 +118,24 @@ def test_chop_length():
         c = ChebFn.from_callable(gauss_density, degree).coeffs
         n = chop_length(c)
         assert n < 25 and np.max(np.abs(c[n:])) < 1e-13, (degree, n)
+
+
+def test_integrate_on_memo_is_bounded():
+    # the memo of the antiderivative keeps its last few points, not all
+    f = ChebFn(np.random.default_rng(44).standard_normal(129))
+    ends = np.linspace(0.0, 1.0, 10**4 + 1).tolist()
+    for lo, hi in zip(ends, ends[1:]):
+        f.integrate_on(lo, hi)
+    info = f._anti.cache_info()
+    assert info.misses == len(ends) and info.currsize <= info.maxsize == 8
+
+
+def test_pickle_round_trip_after_queries():
+    f = ChebFn(np.random.default_rng(45).standard_normal(33))
+    want = (f.integrate_on(0.2, 0.7), f(0.3))
+    g = pickle.loads(pickle.dumps(f))
+    assert g.coeffs.tobytes() == f.coeffs.tobytes()
+    assert (g.integrate_on(0.2, 0.7), g(0.3)) == want
 
 
 def test_integrate_on_domain_errors():

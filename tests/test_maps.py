@@ -54,6 +54,31 @@ def test_map_step_out_buffers():
     assert x.tobytes() == want_image.tobytes()
 
 
+def _reference_step(bits, x):
+    # the reference bits: the same passes with reciprocal and a scalar fmax
+    z = np.abs(np.subtract(bits, x))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = np.reciprocal(z)
+        digit = np.floor(r)
+        image = np.subtract(r, digit)
+    return np.fmax(image, 0.0), digit
+
+
+def test_map_step_bit_identical_to_reference():
+    special = [0.0, 1.0, 0.5, 1.0 - 2.0**-53, 2.0**-1022, 1e-310, 5e-324]
+    xs = np.concatenate([special, np.random.default_rng(10).random(10**6)])
+    mixed = np.random.default_rng(11).random(xs.size) < 0.5
+    for bits in (np.zeros(xs.size, dtype=bool), np.ones(xs.size, dtype=bool), mixed):
+        want_image, want_digit = _reference_step(bits, xs)
+        image, digit = map_step(bits, xs)
+        assert image.tobytes() == want_image.tobytes()
+        assert digit.tobytes() == want_digit.tobytes()
+        x, d = xs.copy(), np.empty(xs.size)
+        map_step(bits, x, out=(x, d))
+        assert x.tobytes() == want_image.tobytes()
+        assert d.tobytes() == want_digit.tobytes()
+
+
 def test_inverse_branch_examples():
     assert inverse_branch(MapKind.GAUSS, 1, 0.0) == 1.0
     assert abs(inverse_branch(MapKind.RENYI, 2, 0.5) - 0.6) < 1e-15
