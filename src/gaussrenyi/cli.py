@@ -42,20 +42,13 @@ import numpy as np
 from . import __version__
 from .bounds import c_bound, eps_max, theta_bound, warn_if_inadmissible
 from .digits import digit_law, gauss_kuzmin, gauss_kuzmin_tail
-from .funcspace import DEFAULT_DEGREE, SUP_NORM_GRID
+from .funcspace import DEFAULT_DEGREE, SUP_GRID
 from .maps import MapKind
 from .perturbation import mixture_series, residual
 from .simulate import SimConfig, simulate_digit_freq
 from .transfer import TailPolicy, annealed, assemble_operator, invariant_density, tail_error_bound
 
 _CONVERGENCE_GRID = (0.01, 0.02, 0.04)
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad flags; the contract wants 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 # name -> (type, help, check, message); checked in this order, so with two
@@ -146,8 +139,8 @@ def _cmd_digits(args):
 
 def _cmd_convergence(args):
     m0, m1, series, bound = _series_pipeline(args)
-    grid = np.linspace(0.0, 1.0, SUP_NORM_GRID)
-    references = {eps: invariant_density(annealed(eps, m0, m1))(grid) for eps in _CONVERGENCE_GRID}
+    references = {eps: invariant_density(annealed(eps, m0, m1))(SUP_GRID)
+                  for eps in _CONVERGENCE_GRID}
     header = ["eps", "k", "sup_error_vs_reference", "residual", "fitted_slope"]
     rows = []
     for k in range(1, args.order + 1):
@@ -156,7 +149,7 @@ def _cmd_convergence(args):
         residuals = []
         for eps in _CONVERGENCE_GRID:
             h_k = truncated.at(eps)
-            errors.append(float(np.max(np.abs(h_k(grid) - references[eps]))))
+            errors.append(float(np.max(np.abs(h_k(SUP_GRID) - references[eps]))))
             residuals.append(residual(eps, h_k, m0, m1))
         slope = float(np.polyfit(np.log(_CONVERGENCE_GRID), np.log(errors), 1)[0])
         for eps, err, res in zip(_CONVERGENCE_GRID, errors, residuals):
@@ -210,7 +203,7 @@ _COMMANDS = {
 
 
 def _build_parser():
-    parser = _Parser(prog="gaussrenyi", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="gaussrenyi", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"gaussrenyi {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_line, defaults) in _COMMANDS.items():
@@ -251,7 +244,9 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if exc.code is not None else 0
+        # argparse exits with 0 after --help or --version and with 2 on a bad
+        # flag, which is an invalid configuration: exit code 1
+        return 1 if exc.code else 0
     try:
         _run(args)
     except (ValueError, OSError, MemoryError) as exc:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import warn_if_inadmissible
+from .maps import frozen_copy
 
 
 class NormalizationError(RuntimeError):
@@ -127,9 +128,7 @@ class DigitLaw:
     tail_mass: float
 
     def __post_init__(self):
-        p = np.array(self.probs, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", frozen_copy(self.probs))
 
 
 def digit_law(eps, series, n_max=100):

@@ -20,7 +20,10 @@ memo of its last 8 points, so a run of neighbouring intervals, such as
 the digit cells that share their ends, sums F once per distinct end.
 
 All objects are immutable values; every operation returns a new
-function.  This makes concurrent read access safe without locking.
+function.  Every array kept here, the coefficients, the node values, the
+cached basis matrices and the sup-norm grid :data:`SUP_GRID`, is a
+read-only copy from :func:`~gaussrenyi.maps.frozen_copy`.  This makes
+concurrent read access safe without locking.
 """
 
 from __future__ import annotations
@@ -31,12 +34,12 @@ from functools import lru_cache
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
-from .maps import check_unit
+from .maps import check_unit, frozen_copy
 
 DEFAULT_DEGREE = 128
 
-# uniform grid used for sup-norm estimates (diagnostics only)
-SUP_NORM_GRID = 2049
+# uniform grid of 2049 points for sup-norm estimates (diagnostics only)
+SUP_GRID = frozen_copy(np.linspace(0.0, 1.0, 2049))
 
 
 def chebyshev_nodes(degree):
@@ -59,25 +62,19 @@ def values_to_coeffs_matrix(degree):
     """
     n = degree
     if n == 0:
-        out = np.array([[1.0]])
-    else:
-        k = np.arange(n + 1)
-        i = np.arange(n + 1)
-        p = np.ones(n + 1)
-        p[0] = p[-1] = 2.0
-        S = (2.0 / (np.outer(p, p) * n)) * np.cos(np.outer(k, i) * np.pi / n)
-        # our nodes ascend in x, the classical ones descend in cos(theta)
-        out = S[:, ::-1].copy()
-    out.setflags(write=False)
-    return out
+        return frozen_copy([[1.0]])
+    k = np.arange(n + 1)
+    p = np.ones(n + 1)
+    p[0] = p[-1] = 2.0
+    S = (2.0 / (np.outer(p, p) * n)) * np.cos(np.outer(k, k) * np.pi / n)
+    # our nodes ascend in x, the classical ones descend in cos(theta)
+    return frozen_copy(S[:, ::-1])
 
 
 @lru_cache(maxsize=32)
 def coeffs_to_values_matrix(degree):
     """Chebyshev Vandermonde matrix at the collocation nodes."""
-    out = ncheb.chebvander(2.0 * chebyshev_nodes(degree) - 1.0, degree)
-    out.setflags(write=False)
-    return out
+    return frozen_copy(ncheb.chebvander(2.0 * chebyshev_nodes(degree) - 1.0, degree))
 
 
 @lru_cache(maxsize=32)
@@ -87,16 +84,13 @@ def integral_row(degree):
     row = np.zeros(degree + 1)
     even = k % 2 == 0
     row[even] = 1.0 / (1.0 - k[even] ** 2)
-    row.setflags(write=False)
-    return row
+    return frozen_copy(row)
 
 
 @lru_cache(maxsize=32)
 def quadrature_weights(degree):
     """Clenshaw-Curtis weights: q @ values == integral, exact on the basis."""
-    out = integral_row(degree) @ values_to_coeffs_matrix(degree)
-    out.setflags(write=False)
-    return out
+    return frozen_copy(integral_row(degree) @ values_to_coeffs_matrix(degree))
 
 
 def _clenshaw(r, x):
@@ -163,12 +157,11 @@ class ChebFn:
     __slots__ = ("_coeffs", "_rlist", "_values", "_anti")
 
     def __init__(self, coeffs):
-        c = np.array(coeffs, dtype=float)
+        c = frozen_copy(coeffs)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficient array must be one-dimensional and non-empty")
         if not np.all(np.isfinite(c)):
             raise ValueError("non-finite coefficient")
-        c.setflags(write=False)
         self._coeffs = c
         self._rlist = None
         self._values = None
@@ -212,9 +205,7 @@ class ChebFn:
     def values(self):
         """Values at the collocation nodes (cached)."""
         if self._values is None:
-            v = coeffs_to_values_matrix(self.degree) @ self._coeffs
-            v.setflags(write=False)
-            self._values = v
+            self._values = frozen_copy(coeffs_to_values_matrix(self.degree) @ self._coeffs)
         return self._values
 
     def __call__(self, x):
@@ -291,8 +282,8 @@ def linear_combo(terms):
 
 
 def norm_sup(f):
-    """Sup norm estimated on a uniform grid of SUP_NORM_GRID points."""
-    return float(np.max(np.abs(f(np.linspace(0.0, 1.0, SUP_NORM_GRID)))))
+    """Sup norm estimated on the uniform grid :data:`SUP_GRID` of 2049 points."""
+    return float(np.max(np.abs(f(SUP_GRID))))
 
 
 def norm_cl(f, l):

@@ -14,6 +14,10 @@ of ufunc passes that can write into caller-supplied (image, digit)
 buffers, so an orbit is stepped without allocating.  At the fixed points
 no branch cell contains the point; the kernel reports digit inf there and
 :func:`forward` reports 0.
+
+:func:`frozen_copy` is the package's one read-only rule: every array that
+a record, a cache or a module constant keeps is a private read-only copy
+made by it.
 """
 
 from __future__ import annotations
@@ -37,6 +41,13 @@ def check_kind(kind):
 def check_unit(name, value):
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} outside [0, 1]: {value!r}")
+
+
+def frozen_copy(a, dtype=float):
+    """A private read-only copy of ``a`` as an array of ``dtype``."""
+    out = np.array(a, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
 
 def map_step(bits, x, out=None):

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import MapKind, check_kind, check_unit, map_step
+from .maps import MapKind, check_kind, check_unit, frozen_copy, map_step
 
 _BLOCK = 1 << 15  # orbits stepped together, and uniforms per draw
 _SEL_BITS = 1 << 22  # selection bits held at once (4 MiB): the memory bound in n_index
@@ -77,9 +77,7 @@ class EmpiricalLaw:
     overflow: int
 
     def __post_init__(self):
-        c = np.array(self.counts, dtype=np.int64)
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
+        object.__setattr__(self, "counts", frozen_copy(self.counts, np.int64))
 
     @property
     def total(self):
@@ -100,9 +98,7 @@ class DensityHistogram:
     masses: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.masses, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "masses", m)
+        object.__setattr__(self, "masses", frozen_copy(self.masses))
 
     @property
     def edges(self):

@@ -45,19 +45,19 @@ import numpy.polynomial.chebyshev as ncheb
 from .bounds import hurwitz_zeta, warn_if_inadmissible  # hurwitz_zeta: re-exported
 from .funcspace import (
     DEFAULT_DEGREE,
-    SUP_NORM_GRID,
+    SUP_GRID,
     ChebFn,
     chebyshev_nodes,
     chop_length,
     quadrature_weights,
     values_to_coeffs_matrix,
 )
-from .maps import MapKind, check_kind
+from .maps import MapKind, check_kind, frozen_copy
 
 _RESIDUAL_LIMIT = 1e-12
 _RESOLVENT_LIMIT = 1e-9
 _NEGATIVE_LIMIT = -1e-10
-_LAH_6 = np.array([720.0, 1800.0, 1200.0, 300.0, 30.0, 1.0])  # Lah numbers L(6, i), i = 1..6
+_LAH_6 = frozen_copy([720.0, 1800.0, 1200.0, 300.0, 30.0, 1.0])  # Lah numbers L(6, i), i = 1..6
 
 
 class TailBoundWarning(UserWarning):
@@ -92,10 +92,9 @@ class OperatorMatrix:
     eps: float | None = None
 
     def __post_init__(self):
-        e = np.array(self.entries, dtype=float)
+        e = frozen_copy(self.entries)
         if e.ndim != 2 or e.shape[0] != e.shape[1] or e.size == 0:
             raise ValueError(f"entries must be a non-empty square matrix, got {e.shape}")
-        e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
     @property
@@ -128,16 +127,16 @@ def _collocation_matrix(degree, policy):
     V = ncheb.chebvander(2.0 * u[:, 0] - 1.0, n)
     D = np.eye(n)
     B += V @ ncheb.chebint(D, lbnd=-1, scl=0.5)
-    for weight in (u**2 / 2 + u**3 / 6 - u**5 / 30, u**4 / 12 - u**6 / 20,
-                   -(u**7) / 60, -(u**8) / 720):
+    for j, weight in enumerate((u**2 / 2 + u**3 / 6 - u**5 / 30, u**4 / 12 - u**6 / 20,
+                                -(u**7) / 60, -(u**8) / 720)):
+        if j:  # D holds the j-th derivative of the identity block
+            D = ncheb.chebder(D, scl=2.0)
         B += weight * (V[:, : len(D)] @ D)
-        D = ncheb.chebder(D, scl=2.0)
     M = B @ values_to_coeffs_matrix(degree)
     # rank-one mass restoration (q @ M == q); it moves f by |(q - q @ M) . f|
     q = quadrature_weights(degree)
     M += q - q @ M
-    M.setflags(write=False)
-    return M
+    return frozen_copy(M)
 
 
 def tail_error_bound(f, policy=TailPolicy()):
@@ -245,9 +244,9 @@ def invariant_density(m):
 
     Solves the bordered system with right-hand side [0; 1].  Raises
     ConvergenceError when the system is singular, when the fixed-point
-    residual exceeds 1e-12 or when the density dips below -1e-10 on a
-    uniform grid; node values in [-1e-10, 0) are clamped to zero with
-    a warning.
+    residual exceeds 1e-12 or when the density dips below -1e-10 on the
+    sup-norm grid ``SUP_GRID``; node values in [-1e-10, 0) are clamped to
+    zero with a warning.
     """
     if m.eps is not None:
         warn_if_inadmissible(m.eps)
@@ -266,7 +265,7 @@ def invariant_density(m):
         )
         v = np.where(small_negative, 0.0, v)
     h = ChebFn.from_values(v)
-    grid_min = float(np.min(h(np.linspace(0.0, 1.0, SUP_NORM_GRID))))
+    grid_min = float(np.min(h(SUP_GRID)))
     if grid_min < _NEGATIVE_LIMIT:
         raise ConvergenceError(f"density dips to {grid_min:.3e} on the grid")
     return h

@@ -165,6 +165,10 @@ def test_validation_exit_code(tmp_path, capsys):
     assert main(["density", "--eps", "2.0"]) == 1
     assert main(["digits", "--n-max", "0"]) == 1
     assert main(["nonsense"]) == 1
+    assert main(["density", "--eps", "abc"]) == 1
+    # argparse's own exits: 2 on a bad flag becomes 1, help and version stay 0
+    assert main(["--help"]) == 0
+    assert main(["--version"]) == 0
     capsys.readouterr()
     # one bad value per other checked flag; stderr names the flag
     cases = [

@@ -66,6 +66,8 @@ def test_digit_cells_n1():
     assert cells[1].is_empty
     assert not cells[2].is_empty and cells[2].lo == 0.0 and cells[2].hi == 0.5
     assert cells[3].is_empty
+    with pytest.raises(ValueError):
+        digit_cells(0)
 
 
 def test_digit_cells_disjoint_n3():

@@ -23,6 +23,11 @@ def test_constant_interpolation():
     f = ChebFn.from_callable(lambda x: 1.0, degree=4)
     assert abs(f(0.3) - 1.0) < 1e-15
     assert np.allclose(f.coeffs, [1.0, 0, 0, 0, 0], atol=1e-15)
+    # one node: the degree-0 paths of every basis cache and of evaluation
+    g = ChebFn.from_values([2.0])
+    assert g.degree == 0
+    assert g.values.tolist() == [2.0] and g.coeffs.tolist() == [2.0]
+    assert g.integrate() == 2.0 and g(0.3) == 2.0
 
 
 def test_linear_reproduction():
@@ -54,11 +59,27 @@ def test_eval_domain_error():
         f(float("nan"))
     with pytest.raises(ValueError):
         f(np.array([0.2, float("nan")]))
+    with pytest.raises(ValueError):
+        chebyshev_nodes(-1)
 
 
 def test_from_callable_rejects_non_finite():
     with pytest.raises(ValueError, match="node x = 0.0"):
         ChebFn.from_callable(lambda x: 1.0 / x if x > 0 else math.inf, degree=8)
+    # the constructor and from_values check shape and finiteness themselves
+    for bad in ([], np.ones((2, 2)), [1.0, math.nan]):
+        with pytest.raises(ValueError, match="one-dimensional|non-finite coefficient"):
+            ChebFn(bad)
+        with pytest.raises(ValueError, match="one-dimensional|non-finite node value"):
+            ChebFn.from_values(bad)
+
+
+def test_arithmetic_only_between_functions_and_scalars():
+    f = ChebFn.constant(1.0, 4)
+    with pytest.raises(TypeError):
+        f + 1.0
+    with pytest.raises(TypeError):
+        f * f
 
 
 def test_integrate_examples():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gaussrenyi import (
+    ChebFn,
     MapKind,
     OperatorMatrix,
     PerturbationSeries,
@@ -68,9 +69,15 @@ def test_forcing_rejects_badly_scaled_input(h0_128):
         mixture_forcing_terms(h0_128, bogus, 1)
 
 
-def test_forcing_order_validation(h0_128, ops128):
+def test_forcing_order_validation(h0_128, ops128, forcing, table):
     with pytest.raises(ValueError):
         mixture_forcing_terms(h0_128, ops128[1], 0)
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        response_table(forcing, *ops128, 0)
+    with pytest.raises(ValueError, match="need 4 forcing terms, got 3"):
+        response_table(forcing, *ops128, 4)
+    with pytest.raises(ValueError):
+        density_derivative(table, 0)
 
 
 # -------------------------------------------------------- response table
@@ -226,6 +233,8 @@ def test_series_order_validation(h0_128, ops128):
         mixture_series(h0_128, *ops128, order=0)
     with pytest.raises(ValueError):
         PerturbationSeries(h0_128, (), 2)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        residual(0.1, ChebFn.constant(1.0, 8), *ops128)
 
 
 # -------------------------------------------------------------- residual

@@ -88,6 +88,13 @@ def test_config_validation():
         SimConfig(eps=0.1, samples=10, n_index=0)
     with pytest.raises(ValueError):
         SimConfig(eps=0.1, samples=10, burn_in=-1)
+    with pytest.raises(ValueError):
+        digit_b(2, 0, 0.5)
+    cfg = SimConfig(eps=0.1, samples=10)
+    with pytest.raises(ValueError):
+        simulate_digit_freq(cfg, 0)
+    with pytest.raises(ValueError):
+        empirical_density(cfg, bins=0)
 
 
 def test_reproducibility():

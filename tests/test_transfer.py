@@ -4,6 +4,7 @@ import math
 import warnings
 
 import numpy as np
+import numpy.polynomial.chebyshev as ncheb
 import pytest
 from scipy import special
 
@@ -27,6 +28,7 @@ from gaussrenyi import (
     resolvent_solve,
     tail_error_bound,
 )
+from gaussrenyi import funcspace, transfer
 from gaussrenyi.funcspace import chebyshev_nodes
 
 from conftest import random_smooth_fn
@@ -271,6 +273,7 @@ def test_assemble_validation():
 def test_records_copy_the_callers_array():
     # a record freezes its own copy; the caller's array stays theirs
     records = [
+        (lambda a: ChebFn(a).coeffs, np.ones(3)),
         (lambda a: OperatorMatrix(a).entries, np.eye(9)),
         (lambda a: DigitLaw(0.1, 3, a, 0.0).probs, np.full(5, 0.2)),
         (lambda a: EmpiricalLaw(a, 0).counts, np.arange(5, dtype=np.int64)),
@@ -282,6 +285,38 @@ def test_records_copy_the_callers_array():
         assert a.flags.writeable and not kept.flags.writeable
         a[0] += 1
         assert np.array_equal(kept, before)
+
+
+def test_kept_arrays_are_read_only():
+    # the basis caches, the collocation cache, the node values and the
+    # module constants are read-only, like the records
+    kept = [
+        funcspace.values_to_coeffs_matrix(16),
+        funcspace.coeffs_to_values_matrix(16),
+        funcspace.integral_row(16),
+        funcspace.quadrature_weights(16),
+        transfer._collocation_matrix(16, TailPolicy()),
+        ChebFn.constant(1.0, 16).values,
+        funcspace.SUP_GRID,
+        transfer._LAH_6,
+    ]
+    assert [a.flags.writeable for a in kept] == [False] * len(kept)
+
+
+def test_cold_build_differentiates_between_uses(monkeypatch):
+    # the tail reads the identity block and its first three derivatives:
+    # three calls to chebder, none after the last use
+    calls = []
+    chebder = ncheb.chebder
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return chebder(*args, **kwargs)
+
+    monkeypatch.setattr(ncheb, "chebder", counted)
+    transfer._collocation_matrix.cache_clear()
+    assemble_operator(MapKind.GAUSS, 16)
+    assert len(calls) == 3
 
 
 # ------------------------------------------------------------- annealed
