@@ -47,7 +47,7 @@ def hurwitz_zeta(s, q):
         raise ValueError(f"exponent must exceed 1: {s!r}")
     qa = np.asarray(q, dtype=float)
     if np.any(qa <= 0):
-        raise ValueError("offset must be positive")
+        raise ValueError("offset must exceed 0")
     s = float(s)
     x = qa + _EXPLICIT_TERMS
     xs = x**-s

@@ -23,7 +23,7 @@ Exit codes:
 0 success, 1 invalid configuration (or one too large to allocate), 2 numerical failure.
 
 ``_FLAGS`` and ``_COMMANDS`` are the one place a flag is declared: its
-type, help, check and, per subcommand, default and provenance position.
+type, help, floor and, per subcommand, default and provenance position.
 The parser, the validation and the provenance header are built from them.
 Each handler returns its table, the header, the rows and the provenance
 fields it computed, and :func:`main` writes it.
@@ -43,7 +43,7 @@ from . import __version__
 from .bounds import c_bound, eps_max, theta_bound, warn_if_inadmissible
 from .digits import digit_law, gauss_kuzmin, gauss_kuzmin_tail
 from .funcspace import DEFAULT_DEGREE, SUP_GRID
-from .maps import MapKind
+from .maps import MapKind, check_count, check_unit
 from .perturbation import mixture_series, residual
 from .simulate import SimConfig, simulate_digit_freq
 from .transfer import TailPolicy, annealed, assemble_operator, invariant_density, tail_error_bound
@@ -51,18 +51,19 @@ from .transfer import TailPolicy, annealed, assemble_operator, invariant_density
 _CONVERGENCE_GRID = (0.01, 0.02, 0.04)
 
 
-# name -> (type, help, check, message); checked in this order, so with two
-# bad flags the first one listed here is reported
+# name -> (type, help, floor): an int flag below its floor and a float flag
+# outside [0, 1] are rejected, in this order, so with two bad flags the first
+# one listed here is reported
 _FLAGS = {
-    "eps": (float, "Renyi weight", lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
-    "order": (int, "expansion order", lambda v: v >= 1, "must be at least 1"),
-    "degree": (int, "collocation degree", lambda v: v >= 8, "must be at least 8"),
-    "a_max": (int, "explicit branch cutoff", lambda v: v >= 8, "must be at least 8"),
-    "n_max": (int, "last tabulated row", lambda v: v >= 1, "must be at least 1"),
-    "samples": (int, "sample count", lambda v: v >= 1, "must be at least 1"),
-    "n_index": (int, "digit index to record", lambda v: v >= 1, "must be at least 1"),
-    "grid": (int, "output grid points", lambda v: v >= 2, "must be at least 2"),
-    "seed": (int, "generator seed", lambda v: True, ""),
+    "eps": (float, "Renyi weight", None),
+    "order": (int, "expansion order", 1),
+    "degree": (int, "collocation degree", 8),
+    "a_max": (int, "explicit branch cutoff", 8),
+    "n_max": (int, "last tabulated row", 1),
+    "samples": (int, "sample count", 1),
+    "n_index": (int, "digit index to record", 1),
+    "grid": (int, "output grid points", 2),
+    "seed": (int, "generator seed", None),
 }
 
 
@@ -220,9 +221,11 @@ def _build_parser():
 
 def _validate(args):
     defaults = _COMMANDS[args.command][2]
-    for name, (_, _, ok, message) in _FLAGS.items():
-        if name in defaults and not ok(getattr(args, name)):
-            raise ValueError(f"{_flag(name)} {message}")
+    for name, (kind, _, floor) in _FLAGS.items():
+        if name in defaults and kind is float:
+            check_unit(_flag(name), getattr(args, name))
+        elif name in defaults and floor is not None:
+            check_count(_flag(name), getattr(args, name), floor)
 
 
 def _run(args):

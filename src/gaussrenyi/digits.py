@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import warn_if_inadmissible
-from .maps import frozen_copy
+from .maps import check_count, frozen_copy
 
 
 class NormalizationError(RuntimeError):
@@ -36,15 +36,13 @@ class NormalizationError(RuntimeError):
 
 def gauss_kuzmin(n):
     """Gauss-Kuzmin probability of digit n: log2((1 + 1/n) / (1 + 1/(n+1)))."""
-    if n < 1:
-        raise ValueError(f"digit must be a positive integer: {n!r}")
+    check_count("digit", n, 1)
     return math.log2((1.0 + 1.0 / n) / (1.0 + 1.0 / (n + 1)))
 
 
 def gauss_kuzmin_tail(n_max):
     """Mass of the Gauss-Kuzmin law above n_max; the sum telescopes."""
-    if n_max < 1:
-        raise ValueError(f"digit cutoff must be a positive integer: {n_max!r}")
+    check_count("digit cutoff", n_max, 1)
     return math.log2(1.0 + 1.0 / (n_max + 1))
 
 
@@ -86,8 +84,7 @@ class DigitCell:
 
 def digit_cells(n):
     """The four (omega1, omega2) cells on which the digit equals n."""
-    if n < 1:
-        raise ValueError(f"digit must be a positive integer: {n!r}")
+    check_count("digit", n, 1)
     cells = [DigitCell(0, 0, 1.0 / (n + 1), 1.0 / n)]
     if n >= 2:
         cells.append(DigitCell(0, 1, 1.0 / n, 1.0 / (n - 1)))
@@ -140,8 +137,7 @@ def digit_law(eps, series, n_max=100):
     truncation error and are flagged with a warning rather than
     clamped.
     """
-    if n_max < 1:
-        raise ValueError(f"digit cutoff must be a positive integer: {n_max!r}")
+    check_count("digit cutoff", n_max, 1)
     probs = np.array([digit_probability(n, eps, series) for n in range(1, n_max + 1)])
     if np.any(probs < -1e-9):
         worst = float(probs.min())

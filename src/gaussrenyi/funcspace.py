@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
-from .maps import check_unit, frozen_copy
+from .maps import check_count, check_unit, frozen_copy
 
 DEFAULT_DEGREE = 128
 
@@ -44,8 +44,7 @@ SUP_GRID = frozen_copy(np.linspace(0.0, 1.0, 2049))
 
 def chebyshev_nodes(degree):
     """Ascending Chebyshev-Lobatto points on [0, 1], endpoints included."""
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
+    check_count("degree", degree, 0)
     if degree == 0:
         return np.array([0.5])
     j = np.arange(degree + 1)
@@ -139,10 +138,7 @@ def chop_length(coeffs):
             return n
         e1, e2 = env[j - 1], env[j2 - 1]
         if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
-            plateau = j - 1
-            break
-    if env[plateau - 1] == 0.0:
-        return plateau
+            break  # the plateau starts at j - 1
     j3 = int(np.sum(env >= tol ** (7.0 / 6.0)))
     if j3 < j2:
         j2 = j3 + 1
@@ -189,6 +185,7 @@ class ChebFn:
 
     @classmethod
     def constant(cls, value, degree=0):
+        check_count("degree", degree, 0)
         c = np.zeros(degree + 1)
         c[0] = float(value)
         return cls(c)
@@ -288,8 +285,7 @@ def norm_sup(f):
 
 def norm_cl(f, l):
     """C^l norm: sum of sup norms of derivatives of order 0..l."""
-    if l < 0:
-        raise ValueError("derivative order must be non-negative")
+    check_count("derivative order", l, 0)
     if l > f.degree:
         raise ValueError(f"order {l} exceeds representation degree {f.degree}")
     total = 0.0

@@ -17,13 +17,18 @@ no branch cell contains the point; the kernel reports digit inf there and
 
 :func:`frozen_copy` is the package's one read-only rule: every array that
 a record, a cache or a module constant keeps is a private read-only copy
-made by it.
+made by it.  :func:`check_count` and :func:`check_unit` are its one range
+rule: every count with a floor and every value required in [0, 1] is
+checked by them, with the messages "<name> must be at least <floor>:
+<value>" and "<name> outside [0, 1]: <value>".  A count that is not an
+integer raises TypeError.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 
 import numpy as np
 
@@ -41,6 +46,12 @@ def check_kind(kind):
 def check_unit(name, value):
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} outside [0, 1]: {value!r}")
+
+
+def check_count(name, value, low):
+    """Reject a non-integer count (TypeError) or one below ``low`` (ValueError)."""
+    if operator.index(value) < low:
+        raise ValueError(f"{name} must be at least {low}: {value!r}")
 
 
 def frozen_copy(a, dtype=float):
@@ -97,7 +108,7 @@ def forward(kind, x):
 
 def inverse_branch(kind, a, y):
     """Inverse of the a-th branch: 1/(a+y) for Gauss, 1 - 1/(a+y) for Renyi."""
-    _check_branch(a)
+    check_count("branch digit", a, 1)
     check_unit("y", y)
     check_kind(kind)
     if kind is MapKind.GAUSS:
@@ -107,7 +118,7 @@ def inverse_branch(kind, a, y):
 
 def branch_derivative(kind, a, y):
     """|V'| of the a-th inverse branch, 1/(a+y)^2 for both map kinds."""
-    _check_branch(a)
+    check_count("branch digit", a, 1)
     check_unit("y", y)
     check_kind(kind)
     return 1.0 / (a + y) ** 2
@@ -127,18 +138,13 @@ def two_step_derivative(p, q, n, k, x, order=1):
     """
     if p not in (0, 1) or q not in (0, 1):
         raise ValueError("map selectors must be 0 or 1")
-    _check_branch(n)
-    _check_branch(k)
+    check_count("branch digit", n, 1)
+    check_count("branch digit", k, 1)
     check_unit("x", x)
-    if order < 1:
-        raise ValueError("derivative order must be at least 1")
+    check_count("derivative order", order, 1)
     i = order
     fact = math.factorial(i)
     if (p, q) in ((0, 0), (1, 0)):
         return fact * n ** (i - 1) / (n * (k + x) + 1.0) ** (i + 1)
     return fact * (n + 1) ** (i - 1) / ((n + 1) * (k + x) - 1.0) ** (i + 1)
 
-
-def _check_branch(a):
-    if a < 1:
-        raise ValueError(f"branch digit must be a positive integer: {a!r}")

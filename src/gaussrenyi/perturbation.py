@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .funcspace import ChebFn, linear_combo
+from .maps import check_count
 from .transfer import annealed, resolvent_solve
 
 
@@ -57,8 +58,8 @@ class PerturbationSeries:
         readers see either the old pair or the new one, and it takes no
         part in equality or ``repr``.
         """
-        if eps < 0.0:
-            raise ValueError(f"mixture weight must be non-negative: {eps!r}")
+        if not eps >= 0.0:  # also catches NaN
+            raise ValueError(f"mixture weight must be at least 0: {eps!r}")
         eps = float(eps)
         last = self._last
         if last is not None and last[0] == eps:
@@ -73,19 +74,19 @@ class PerturbationSeries:
 def mixture_forcing_terms(h0, m1, order):
     """Derivatives of eps -> L_eps h0 at eps = 0 for the affine mixture.
 
-    The first derivative is L1 h0 - h0 and all higher ones vanish.  The
-    first term must have zero mean (both L1 h0 and h0 carry unit mass);
-    a violation signals an inconsistent h0 or operator.
+    The first derivative is L1 h0 - h0 and all higher ones vanish.  Its
+    mean is (q @ M1 - q) . h0 for the quadrature row q, which is zero to
+    rounding for any h0, fixed density or not, when M1 conserves mass; a
+    nonzero mean signals an operator that does not conserve mass.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    check_count("order", order, 1)
     g1_values = m1.entries @ h0.values - h0.values
     g1 = ChebFn.from_values(g1_values)
     mean = g1.integrate()
     if abs(mean) > 1e-9:
         raise RuntimeError(
             f"first forcing term has mean {mean:.3e}; "
-            f"h0 is not the fixed density of the complementary operator"
+            f"the complementary operator does not conserve mass"
         )
     zero = ChebFn(np.zeros(h0.degree + 1))
     return [g1] + [zero] * (order - 1)
@@ -98,8 +99,7 @@ def response_table(forcing, m0, m1, order):
     applied to the i-th forcing term, computed through the geometric
     recursion j! [(I - L0)^(-1) (L1 - L0)]^j (I - L0)^(-1).
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    check_count("order", order, 1)
     if len(forcing) < order:
         raise ValueError(f"need {order} forcing terms, got {len(forcing)}")
     delta = m1.entries - m0.entries
@@ -123,8 +123,10 @@ def response_table(forcing, m0, m1, order):
 
 def density_derivative(table, n):
     """n-th derivative of eps -> h_eps at 0: sum_i binom(n, i) H[i, n-i]."""
-    if n < 1:
-        raise ValueError("derivative order must be at least 1")
+    check_count("derivative order", n, 1)
+    order = max(i for i, _ in table)
+    if n > order:
+        raise ValueError(f"derivative order {n} exceeds the table's order {order}")
     terms = [(float(math.comb(n, i)), table[(i, n - i)]) for i in range(1, n + 1)]
     return linear_combo(terms)
 
@@ -136,8 +138,7 @@ def mixture_series(h0, m0, m1, order=3):
     c_n = (I - L0)^(-1) (L1 - L0) c_(n-1).  Every coefficient is
     zero-mean, so any truncation keeps unit mass.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    check_count("order", order, 1)
     g1 = mixture_forcing_terms(h0, m1, 1)[0]
     delta = m1.entries - m0.entries
     coeffs = [resolvent_solve(m0, g1)]

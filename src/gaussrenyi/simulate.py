@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import MapKind, check_kind, check_unit, frozen_copy, map_step
+from .maps import MapKind, check_count, check_kind, check_unit, frozen_copy, map_step
 
 _BLOCK = 1 << 15  # orbits stepped together, and uniforms per draw
 _SEL_BITS = 1 << 22  # selection bits held at once (4 MiB): the memory bound in n_index
@@ -59,14 +59,10 @@ class SimConfig:
     burn_in: int = 100
 
     def __post_init__(self):
-        if not 0.0 <= self.eps <= 1.0:
-            raise ValueError(f"eps must be in [0, 1]: {self.eps!r}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be positive: {self.samples!r}")
-        if self.n_index < 1:
-            raise ValueError(f"n_index must be positive: {self.n_index!r}")
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be non-negative: {self.burn_in!r}")
+        check_unit("eps", self.eps)
+        check_count("samples", self.samples, 1)
+        check_count("n_index", self.n_index, 1)
+        check_count("burn_in", self.burn_in, 0)
 
 
 @dataclass(frozen=True)
@@ -133,8 +129,7 @@ def simulate_digit_freq(cfg, n_max=100):
     :class:`EmpiricalLaw`.  The measure-zero event of an orbit landing
     exactly on a branch endpoint (undefined digit) is counted as overflow.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive: {n_max!r}")
+    check_count("n_max", n_max, 1)
     rng = np.random.default_rng(cfg.seed)
     x = rng.random(cfg.samples)  # stepped in place, block by block
     n = cfg.n_index
@@ -168,10 +163,8 @@ def empirical_density(cfg, bins=100):
     after burn-in the positions are approximately stationary and the
     normalized histogram approximates the stationary density.
     """
-    if cfg.burn_in < 50:
-        raise ValueError(f"burn_in must be at least 50: {cfg.burn_in!r}")
-    if bins < 1:
-        raise ValueError(f"bins must be positive: {bins!r}")
+    check_count("burn_in", cfg.burn_in, 50)
+    check_count("bins", bins, 1)
     rng = np.random.default_rng(cfg.seed)
     x = rng.random(cfg.samples)
     chunk = min(cfg.samples, _BLOCK)

@@ -52,7 +52,7 @@ from .funcspace import (
     quadrature_weights,
     values_to_coeffs_matrix,
 )
-from .maps import MapKind, check_kind, frozen_copy
+from .maps import MapKind, check_count, check_kind, frozen_copy
 
 _RESIDUAL_LIMIT = 1e-12
 _RESOLVENT_LIMIT = 1e-9
@@ -75,8 +75,7 @@ class TailPolicy:
     a_max: int = 256
 
     def __post_init__(self):
-        if self.a_max < 8:
-            raise ValueError(f"a_max must be at least 8: {self.a_max!r}")
+        check_count("a_max", self.a_max, 8)
 
 
 @dataclass(frozen=True)
@@ -206,8 +205,7 @@ def assemble_operator(kind, degree=DEFAULT_DEGREE, policy=TailPolicy()):
     Renyi matrix is the cached Gauss matrix with its columns reversed.
     """
     check_kind(kind)
-    if degree < 8:
-        raise ValueError(f"degree must be at least 8: {degree!r}")
+    check_count("degree", degree, 8)
     M = _collocation_matrix(degree, policy)
     return OperatorMatrix(M[:, ::-1] if kind is MapKind.RENYI else M)
 

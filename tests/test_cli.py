@@ -170,8 +170,9 @@ def test_validation_exit_code(tmp_path, capsys):
     assert main(["--help"]) == 0
     assert main(["--version"]) == 0
     capsys.readouterr()
-    # one bad value per other checked flag; stderr names the flag
+    # one bad value per checked flag; stderr names the flag and the value
     cases = [
+        (["density", "--eps", "2.0"], "--eps outside [0, 1]: 2.0"),
         (["density", "--order", "0"], "--order must be at least 1"),
         (["density", "--degree", "4"], "--degree must be at least 8"),
         (["density", "--a-max", "4"], "--a-max must be at least 8"),

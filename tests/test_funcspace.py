@@ -61,6 +61,8 @@ def test_eval_domain_error():
         f(np.array([0.2, float("nan")]))
     with pytest.raises(ValueError):
         chebyshev_nodes(-1)
+    with pytest.raises(ValueError, match="degree must be at least 0: -1"):
+        ChebFn.constant(1.0, -1)
 
 
 def test_from_callable_rejects_non_finite():
@@ -78,6 +80,8 @@ def test_arithmetic_only_between_functions_and_scalars():
     f = ChebFn.constant(1.0, 4)
     with pytest.raises(TypeError):
         f + 1.0
+    with pytest.raises(TypeError):
+        f - 1.0
     with pytest.raises(TypeError):
         f * f
 
@@ -128,6 +132,9 @@ def test_chop_length():
     assert chop_length(np.ones(16)) == 16  # too short to judge
     assert chop_length(np.zeros(40)) == 1
     assert chop_length(np.ones(40)) == 40  # no plateau
+    # decay below tol^(7/6) before the plateau test's far point j2 = 26:
+    # the cut is searched up to j3 + 1 = 20 instead
+    assert chop_length(0.1 ** np.arange(40)) == 18
     # geometric decay to rounding level, then a noise plateau
     rng = np.random.default_rng(43)
     c = 0.5 ** np.arange(100) + 1e-17 * rng.standard_normal(100)

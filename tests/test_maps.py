@@ -1,18 +1,69 @@
 """Forward maps, inverse branches and branch-derivative formulas."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from gaussrenyi import (
+    ChebFn,
     MapKind,
+    SimConfig,
+    TailPolicy,
+    assemble_operator,
     branch_derivative,
+    chebyshev_nodes,
+    density_derivative,
+    digit_cells,
+    digit_law,
+    empirical_density,
     forward,
+    gauss_kuzmin,
+    gauss_kuzmin_tail,
     inverse_branch,
+    mixture_forcing_terms,
+    mixture_series,
+    norm_cl,
+    response_table,
+    simulate_digit_freq,
     two_step_derivative,
 )
 from gaussrenyi.maps import map_step
+
+_CFG = SimConfig(0.1, 10, burn_in=50)
+
+# site -> (name in the message, floor, call with the count); each call
+# reaches its count check before any other argument is used
+_FLOORS = {
+    "gauss_kuzmin": ("digit", 1, gauss_kuzmin),
+    "gauss_kuzmin_tail": ("digit cutoff", 1, gauss_kuzmin_tail),
+    "digit_cells": ("digit", 1, digit_cells),
+    "digit_law": ("digit cutoff", 1, lambda v: digit_law(0.1, None, v)),
+    "chebyshev_nodes": ("degree", 0, chebyshev_nodes),
+    "ChebFn.constant": ("degree", 0, lambda v: ChebFn.constant(1.0, v)),
+    "norm_cl": ("derivative order", 0, lambda v: norm_cl(ChebFn.constant(1.0, 4), v)),
+    "inverse_branch": ("branch digit", 1, lambda v: inverse_branch(MapKind.GAUSS, v, 0.5)),
+    "branch_derivative": ("branch digit", 1,
+                          lambda v: branch_derivative(MapKind.RENYI, v, 0.5)),
+    "two_step_derivative.n": ("branch digit", 1, lambda v: two_step_derivative(0, 0, v, 1, 0.5)),
+    "two_step_derivative.k": ("branch digit", 1, lambda v: two_step_derivative(1, 1, 1, v, 0.5)),
+    "two_step_derivative.order": ("derivative order", 1,
+                                  lambda v: two_step_derivative(0, 1, 1, 1, 0.5, v)),
+    "mixture_forcing_terms": ("order", 1, lambda v: mixture_forcing_terms(None, None, v)),
+    "response_table": ("order", 1, lambda v: response_table(None, None, None, v)),
+    "mixture_series": ("order", 1, lambda v: mixture_series(None, None, None, v)),
+    "density_derivative": ("derivative order", 1, lambda v: density_derivative(None, v)),
+    "SimConfig.samples": ("samples", 1, lambda v: SimConfig(0.1, v)),
+    "SimConfig.n_index": ("n_index", 1, lambda v: SimConfig(0.1, 10, n_index=v)),
+    "SimConfig.burn_in": ("burn_in", 0, lambda v: SimConfig(0.1, 10, burn_in=v)),
+    "simulate_digit_freq": ("n_max", 1, lambda v: simulate_digit_freq(_CFG, v)),
+    "empirical_density.burn_in": ("burn_in", 50,
+                                  lambda v: empirical_density(SimConfig(0.1, 10, burn_in=v))),
+    "empirical_density.bins": ("bins", 1, lambda v: empirical_density(_CFG, v)),
+    "TailPolicy": ("a_max", 8, TailPolicy),
+    "assemble_operator": ("degree", 8, lambda v: assemble_operator(MapKind.GAUSS, v)),
+}
 
 
 def test_forward_gauss():
@@ -147,6 +198,16 @@ def test_two_step_validation():
         two_step_derivative(0, 0, 0, 1, 0.0, 1)
     with pytest.raises(ValueError):
         two_step_derivative(0, 0, 1, 1, 0.0, 0)
+
+
+@pytest.mark.parametrize("name, low, call", list(_FLOORS.values()), ids=list(_FLOORS))
+def test_count_floors(name, low, call):
+    # one rule and one message for every count with a floor
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be at least {low}: {low - 1}")):
+        call(low - 1)
+    # a count that is not an integer is refused, not rounded or passed on
+    with pytest.raises(TypeError):
+        call(float(low))
 
 
 def test_composition_consistency_finite_difference():

@@ -24,6 +24,8 @@ from gaussrenyi import (
     response_table,
 )
 
+from conftest import random_smooth_fn
+
 
 @pytest.fixture(scope="module")
 def forcing(ops128, h0_128):
@@ -69,6 +71,16 @@ def test_forcing_rejects_badly_scaled_input(h0_128):
         mixture_forcing_terms(h0_128, bogus, 1)
 
 
+def test_forcing_accepts_any_input_under_the_true_operator(ops128):
+    # mean(L1 f - f) = (q @ M1 - q) . f vanishes for every f when M1
+    # conserves mass: a function far from the fixed density passes
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        f = 1e3 * random_smooth_fn(rng, degree=128)
+        g1 = mixture_forcing_terms(f, ops128[1], 1)[0]
+        assert norm_sup(g1) > 1.0 and abs(g1.integrate()) < 1e-9
+
+
 def test_forcing_order_validation(h0_128, ops128, forcing, table):
     with pytest.raises(ValueError):
         mixture_forcing_terms(h0_128, ops128[1], 0)
@@ -78,6 +90,8 @@ def test_forcing_order_validation(h0_128, ops128, forcing, table):
         response_table(forcing, *ops128, 4)
     with pytest.raises(ValueError):
         density_derivative(table, 0)
+    with pytest.raises(ValueError, match="derivative order 4 exceeds the table's order 3"):
+        density_derivative(table, 4)
 
 
 # -------------------------------------------------------- response table
@@ -217,6 +231,8 @@ def test_at_memo_keeps_the_weight_check(series3):
     assert s.at(0.1) is h
     with pytest.raises(ValueError):
         s.at(-0.1)
+    with pytest.raises(ValueError, match="mixture weight must be at least 0: nan"):
+        s.at(float("nan"))
     assert s.at(0.1) is h  # a refused weight leaves the memo alone
 
 

@@ -21,6 +21,8 @@ from gaussrenyi import (
     tail_error_bound,
 )
 
+from gaussrenyi import simulate
+
 from conftest import random_smooth_fn
 
 LN2 = math.log(2.0)
@@ -290,7 +292,7 @@ def test_brute_force_trigamma():
 
 def test_brute_force_matches_tail_model():
     rng = np.random.default_rng(13)
-    a_huge = 10**6
+    a_huge = simulate._A_HUGE
     f = random_smooth_fn(rng, degree=32, decay=0.5)
     bound = tail_error_bound(f)
     # the truncated sum misses roughly f(x*) / a_huge of tail mass, where
