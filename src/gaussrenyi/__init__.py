@@ -15,6 +15,7 @@ from .bounds import (
     c_bound,
     eps_max,
     even_zeta,
+    hurwitz_zeta,
     lasota_yorke_bounds,
     theta_bound,
 )
@@ -56,14 +57,13 @@ from .simulate import (
     simulate_digit_freq,
 )
 from .transfer import (
+    DEFAULT_A_MAX,
     ConvergenceError,
     OperatorMatrix,
     TailBoundWarning,
-    TailPolicy,
     annealed,
     apply_transfer,
     assemble_operator,
-    hurwitz_zeta,
     invariant_density,
     resolvent_solve,
     tail_error_bound,
@@ -74,6 +74,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChebFn",
     "ConvergenceError",
+    "DEFAULT_A_MAX",
     "DEFAULT_DEGREE",
     "DensityHistogram",
     "DigitCell",
@@ -86,7 +87,6 @@ __all__ = [
     "PerturbationSeries",
     "SimConfig",
     "TailBoundWarning",
-    "TailPolicy",
     "annealed",
     "apply_transfer",
     "assemble_operator",

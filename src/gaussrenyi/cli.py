@@ -46,7 +46,9 @@ from .funcspace import DEFAULT_DEGREE, SUP_GRID
 from .maps import MapKind, check_count, check_unit
 from .perturbation import mixture_series, residual
 from .simulate import SimConfig, simulate_digit_freq
-from .transfer import TailPolicy, annealed, assemble_operator, invariant_density, tail_error_bound
+from .transfer import (
+    DEFAULT_A_MAX, annealed, assemble_operator, invariant_density, tail_error_bound,
+)
 
 _CONVERGENCE_GRID = (0.01, 0.02, 0.04)
 
@@ -63,7 +65,7 @@ _FLAGS = {
     "samples": (int, "sample count", 1),
     "n_index": (int, "digit index to record", 1),
     "grid": (int, "output grid points", 2),
-    "seed": (int, "generator seed", None),
+    "seed": (int, "generator seed", 0),
 }
 
 
@@ -106,12 +108,11 @@ def _base_provenance(args, **computed):
 
 
 def _series_pipeline(args):
-    policy = TailPolicy(a_max=args.a_max)
-    m0 = assemble_operator(MapKind.GAUSS, args.degree, policy)
-    m1 = assemble_operator(MapKind.RENYI, args.degree, policy)
+    m0 = assemble_operator(MapKind.GAUSS, args.degree, args.a_max)
+    m1 = assemble_operator(MapKind.RENYI, args.degree, args.a_max)
     h0 = invariant_density(m0)
     series = mixture_series(h0, m0, m1, args.order)
-    return m0, m1, series, tail_error_bound(h0, policy)
+    return m0, m1, series, tail_error_bound(h0, args.a_max)
 
 
 def _cmd_density(args):
@@ -186,7 +187,7 @@ def _cmd_simulate(args):
     return header, rows, {}
 
 
-_SERIES = {"order": 3, "degree": DEFAULT_DEGREE, "a_max": TailPolicy.a_max}
+_SERIES = {"order": 3, "degree": DEFAULT_DEGREE, "a_max": DEFAULT_A_MAX}
 
 # subcommand -> (handler, help, defaults); a handler returns (header, rows,
 # computed provenance fields in order), and a defaults dict lists the
@@ -224,7 +225,7 @@ def _validate(args):
     for name, (kind, _, floor) in _FLAGS.items():
         if name in defaults and kind is float:
             check_unit(_flag(name), getattr(args, name))
-        elif name in defaults and floor is not None:
+        elif name in defaults:
             check_count(_flag(name), getattr(args, name), floor)
 
 

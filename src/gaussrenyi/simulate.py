@@ -63,6 +63,7 @@ class SimConfig:
         check_count("samples", self.samples, 1)
         check_count("n_index", self.n_index, 1)
         check_count("burn_in", self.burn_in, 0)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,9 @@ from functools import lru_cache
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
-from .bounds import hurwitz_zeta, warn_if_inadmissible  # hurwitz_zeta: re-exported
+# transfer.hurwitz_zeta stays importable: bench/spans.py wraps it by getattr, so
+# spans.install needs it until that span is re-pointed at bounds.hurwitz_zeta
+from .bounds import hurwitz_zeta, warn_if_inadmissible
 from .funcspace import (
     DEFAULT_DEGREE,
     SUP_GRID,
@@ -54,6 +56,7 @@ from .funcspace import (
 )
 from .maps import MapKind, check_count, check_kind, frozen_copy
 
+DEFAULT_A_MAX = 256  # branch cutoff of the Euler-Maclaurin tail: branches a <= a_max are summed
 _RESIDUAL_LIMIT = 1e-12
 _RESOLVENT_LIMIT = 1e-9
 _NEGATIVE_LIMIT = -1e-10
@@ -66,16 +69,6 @@ class TailBoundWarning(UserWarning):
 
 class ConvergenceError(RuntimeError):
     """A numerical iteration or solve failed to meet its contract."""
-
-
-@dataclass(frozen=True)
-class TailPolicy:
-    """Branch cutoff of the Euler-Maclaurin tail: branches a <= a_max are summed."""
-
-    a_max: int = 256
-
-    def __post_init__(self):
-        check_count("a_max", self.a_max, 8)
 
 
 @dataclass(frozen=True)
@@ -102,14 +95,14 @@ class OperatorMatrix:
 
 
 @lru_cache(maxsize=16)
-def _collocation_matrix(degree, policy):
+def _collocation_matrix(degree, a_max):
     """Read-only Gauss collocation matrix: explicit branches a <= a_max, tail, mass fix.
 
     Built column by column in O(a_max * degree) memory, with its tail
     summed by Euler-Maclaurin.
     """
     y = chebyshev_nodes(degree)
-    a = np.arange(1, policy.a_max + 1, dtype=float)[:, None]
+    a = np.arange(1, a_max + 1, dtype=float)[:, None]
     w = 1.0 / (a + y[None, :]) ** 2
     pts = 1.0 / (a + y[None, :])
     n = degree + 1
@@ -122,7 +115,7 @@ def _collocation_matrix(degree, policy):
         T_prev, T = T, T * two_t - T_prev
     # tail a >= A = a_max + 1 by Euler-Maclaurin on g(a) = u^2 f(u), u = 1/(a + y):
     # int_0^u f + g/2 - B_2/2! g' - B_4/4! g''' at a = A, in f^(j)(u), s = 2u - 1
-    u = (1.0 / (policy.a_max + 1.0 + y))[:, None]
+    u = (1.0 / (a_max + 1.0 + y))[:, None]
     V = ncheb.chebvander(2.0 * u[:, 0] - 1.0, n)
     D = np.eye(n)
     B += V @ ncheb.chebint(D, lbnd=-1, scl=0.5)
@@ -138,8 +131,8 @@ def _collocation_matrix(degree, policy):
     return frozen_copy(M)
 
 
-def tail_error_bound(f, policy=TailPolicy()):
-    """Euler-Maclaurin remainder bound of the tail for the resolved part of f.
+def tail_error_bound(f, a_max=DEFAULT_A_MAX):
+    """Euler-Maclaurin remainder bound of the tail beyond a_max for the resolved part of f.
 
     With two corrections the remainder over a >= A = a_max + 1 is at most
     (2|B_6|/6!) int_A^inf |g^(6)| (DLMF 2.10.1), g(a) = u^2 f(u) with
@@ -149,7 +142,9 @@ def tail_error_bound(f, policy=TailPolicy()):
     with c_k the coefficients of f chopped at its standardChop plateau
     (:func:`chop_length`): rounding noise, which the majorants amplify like
     k^(2i), stays out.  For the Gauss density s_i = i!/ln 2 exactly.
+    a_max, at least 8 as in :func:`assemble_operator`, is checked before f is read.
     """
+    check_count("a_max", a_max, 8)
     c = np.abs(f.coeffs[: chop_length(f.coeffs)])
     k = np.arange(len(c))
     jet = np.ones(len(c))  # d^i/dx^i T_k(2x - 1) at x = 1
@@ -157,13 +152,13 @@ def tail_error_bound(f, policy=TailPolicy()):
     for i in range(7):
         s[i] = c @ jet
         jet = 2.0 * jet * (k * k - i * i) / (2 * i + 1)
-    A = policy.a_max + 1.0
+    A = a_max + 1.0
     i = np.arange(1, 7)
     moments = s[1:] / A**2 + 2 * i * s[:-1] / A + i * (i - 1) * np.append(0.0, s[:-2])
     return float(np.sum(_LAH_6 * A ** -(5.0 + i) / (5 + i) * moments)) / 15120
 
 
-def apply_transfer(kind, f, policy=TailPolicy()):
+def apply_transfer(kind, f, a_max=DEFAULT_A_MAX):
     """Apply the transfer operator of one map to a ChebFn.
 
     Parameters
@@ -172,8 +167,9 @@ def apply_transfer(kind, f, policy=TailPolicy()):
         Which map's operator to apply.
     f : ChebFn
         Input density (any smooth function works; mass is conserved).
-    policy : TailPolicy
-        Branch cutoff of the Euler-Maclaurin tail.
+    a_max : int
+        Branch cutoff of the Euler-Maclaurin tail, at least 8: branches
+        a <= a_max are summed explicitly, the rest by the tail.
 
     Returns
     -------
@@ -181,10 +177,10 @@ def apply_transfer(kind, f, policy=TailPolicy()):
     :func:`assemble_operator` applied to the node values of f.  The tail's
     Euler-Maclaurin remainder bound (:func:`tail_error_bound`) is checked
     and a TailBoundWarning is emitted when it exceeds 1e-8.  Raises
-    ValueError when f.degree is below 8, as :func:`assemble_operator` does.
+    ValueError when f.degree or a_max is below 8, as :func:`assemble_operator` does.
     """
-    M = assemble_operator(kind, f.degree, policy).entries
-    bound = tail_error_bound(f, policy)
+    M = assemble_operator(kind, f.degree, a_max).entries
+    bound = tail_error_bound(f, a_max)
     if bound > 1e-8:
         warnings.warn(
             f"tail error bound {bound:.3e} exceeds 1e-8; increase a_max",
@@ -194,7 +190,7 @@ def apply_transfer(kind, f, policy=TailPolicy()):
     return ChebFn.from_values(M @ f.values)
 
 
-def assemble_operator(kind, degree=DEFAULT_DEGREE, policy=TailPolicy()):
+def assemble_operator(kind, degree=DEFAULT_DEGREE, a_max=DEFAULT_A_MAX):
     """Collocation matrix of the transfer operator at the given degree.
 
     Column j holds the node values of the operator applied to the j-th
@@ -206,7 +202,8 @@ def assemble_operator(kind, degree=DEFAULT_DEGREE, policy=TailPolicy()):
     """
     check_kind(kind)
     check_count("degree", degree, 8)
-    M = _collocation_matrix(degree, policy)
+    check_count("a_max", a_max, 8)
+    M = _collocation_matrix(degree, a_max)
     return OperatorMatrix(M[:, ::-1] if kind is MapKind.RENYI else M)
 
 

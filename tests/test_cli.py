@@ -180,6 +180,7 @@ def test_validation_exit_code(tmp_path, capsys):
         (["simulate", "--n-index", "0"], "--n-index must be at least 1"),
         (["density", "--grid", "1"], "--grid must be at least 2"),
         (["bounds", "--n-max", "0"], "--n-max must be at least 1"),
+        (["simulate", "--seed", "-1"], "--seed must be at least 0: -1"),
     ]
     for args, message in cases:
         assert main(args) == 1, args
@@ -222,14 +223,13 @@ def test_provenance_keys_in_order(tmp_path):
 
 def test_series_defaults_echo_library(tmp_path):
     # degree and a_max default to the library's own defaults
-    from gaussrenyi import DEFAULT_DEGREE, TailPolicy
+    from gaussrenyi import DEFAULT_A_MAX, DEFAULT_DEGREE
 
     code, out = run(tmp_path, "defaults.csv", ["digits", "--n-max", "2"])
     assert code == 0
     prov, _, _ = read_csv(out)
-    policy = TailPolicy()
     assert prov["degree"] == str(DEFAULT_DEGREE)
-    assert prov["a_max"] == str(policy.a_max)
+    assert prov["a_max"] == str(DEFAULT_A_MAX)
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -10,7 +10,7 @@ from gaussrenyi import (
     ChebFn,
     MapKind,
     SimConfig,
-    TailPolicy,
+    apply_transfer,
     assemble_operator,
     branch_derivative,
     chebyshev_nodes,
@@ -27,6 +27,7 @@ from gaussrenyi import (
     norm_cl,
     response_table,
     simulate_digit_freq,
+    tail_error_bound,
     two_step_derivative,
 )
 from gaussrenyi.maps import map_step
@@ -57,12 +58,16 @@ _FLOORS = {
     "SimConfig.samples": ("samples", 1, lambda v: SimConfig(0.1, v)),
     "SimConfig.n_index": ("n_index", 1, lambda v: SimConfig(0.1, 10, n_index=v)),
     "SimConfig.burn_in": ("burn_in", 0, lambda v: SimConfig(0.1, 10, burn_in=v)),
+    "SimConfig.seed": ("seed", 0, lambda v: SimConfig(0.1, 10, seed=v)),
     "simulate_digit_freq": ("n_max", 1, lambda v: simulate_digit_freq(_CFG, v)),
     "empirical_density.burn_in": ("burn_in", 50,
                                   lambda v: empirical_density(SimConfig(0.1, 10, burn_in=v))),
     "empirical_density.bins": ("bins", 1, lambda v: empirical_density(_CFG, v)),
-    "TailPolicy": ("a_max", 8, TailPolicy),
     "assemble_operator": ("degree", 8, lambda v: assemble_operator(MapKind.GAUSS, v)),
+    "assemble_operator.a_max": ("a_max", 8, lambda v: assemble_operator(MapKind.GAUSS, 16, v)),
+    "tail_error_bound": ("a_max", 8, lambda v: tail_error_bound(None, v)),
+    "apply_transfer": ("a_max", 8,
+                       lambda v: apply_transfer(MapKind.GAUSS, ChebFn.constant(1.0, 16), v)),
 }
 
 

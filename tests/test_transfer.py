@@ -17,7 +17,6 @@ from gaussrenyi import (
     MapKind,
     OperatorMatrix,
     TailBoundWarning,
-    TailPolicy,
     annealed,
     apply_transfer,
     assemble_operator,
@@ -66,11 +65,6 @@ def test_hurwitz_zeta_validation():
         hurwitz_zeta(1.0, 5.0)
     with pytest.raises(ValueError):
         hurwitz_zeta(3.0, -1.0)
-
-
-def test_tail_policy_validation():
-    with pytest.raises(ValueError):
-        TailPolicy(a_max=4)
 
 
 # ------------------------------------------------------- apply_transfer
@@ -150,21 +144,20 @@ def test_tail_error_bound_ignores_rounding_noise():
 def test_tail_bound_warning():
     rough = ChebFn.from_callable(lambda x: math.cos(40 * math.pi * x), 128)
     with pytest.warns(TailBoundWarning):
-        apply_transfer(MapKind.GAUSS, rough, TailPolicy(a_max=8))
+        apply_transfer(MapKind.GAUSS, rough, a_max=8)
 
 
 def test_tail_error_bound_covers_tail_error():
     # at a_max 8 the tail is far from exact; the a_max 4000 matrix is exact
     # to rounding here, so the difference is the tail error of a_max 8
-    coarse, fine = TailPolicy(a_max=8), TailPolicy(a_max=4000)
     for fcall, degree in ((lambda x: 1.0 / ((1.0 + x) * LN2), 128),
                           (lambda x: math.exp(-x), 64),
                           (lambda x: math.cos(40 * math.pi * x), 128)):
         f = ChebFn.from_callable(fcall, degree)
-        images = [assemble_operator(MapKind.GAUSS, degree, p).entries @ f.values
-                  for p in (coarse, fine)]
+        images = [assemble_operator(MapKind.GAUSS, degree, a_max).entries @ f.values
+                  for a_max in (8, 4000)]
         err = float(np.max(np.abs(images[0] - images[1])))
-        assert 1e-10 < err <= tail_error_bound(f, coarse), degree
+        assert 1e-10 < err <= tail_error_bound(f, 8), degree
 
 
 # ------------------------------------------------------ assemble_operator
@@ -202,9 +195,8 @@ def test_matrix_agrees_with_apply(ops128):
 def test_renyi_matrix_is_reflected_gauss(degree):
     # T1 = T0 o R with R(x) = 1 - x and symmetric nodes: L1 reverses the columns of L0
     for a_max in (256, 8, 64):
-        policy = TailPolicy(a_max)
-        m0 = assemble_operator(MapKind.GAUSS, degree, policy)
-        m1 = assemble_operator(MapKind.RENYI, degree, policy)
+        m0 = assemble_operator(MapKind.GAUSS, degree, a_max)
+        m1 = assemble_operator(MapKind.RENYI, degree, a_max)
         assert np.array_equal(m1.entries, m0.entries[:, ::-1]), a_max
 
 
@@ -250,9 +242,10 @@ def test_one_cached_matrix_serves_both_maps():
     from gaussrenyi import transfer as transfer_mod
 
     transfer_mod._collocation_matrix.cache_clear()
-    policy = TailPolicy(a_max=64)
     for kind in (MapKind.GAUSS, MapKind.RENYI):
-        assemble_operator(kind, 16, policy)
+        # a_max given by position or by keyword keys the same entry
+        assemble_operator(kind, 16, 64)
+        assemble_operator(kind, 16, a_max=64)
     assert transfer_mod._collocation_matrix.cache_info().currsize == 1
 
 
@@ -295,7 +288,7 @@ def test_kept_arrays_are_read_only():
         funcspace.coeffs_to_values_matrix(16),
         funcspace.integral_row(16),
         funcspace.quadrature_weights(16),
-        transfer._collocation_matrix(16, TailPolicy()),
+        transfer._collocation_matrix(16, transfer.DEFAULT_A_MAX),
         ChebFn.constant(1.0, 16).values,
         funcspace.SUP_GRID,
         transfer._LAH_6,
