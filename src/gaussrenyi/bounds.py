@@ -15,10 +15,11 @@ one zeta summation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .maps import warn
 
 # B_2j / (2j)! for j = 1..8, the Euler-Maclaurin correction coefficients
 _BERNOULLI_OVER_FACTORIAL = (
@@ -113,10 +114,7 @@ _ADMISSIBLE_EPS_MAX = eps_max(2)
 
 
 def warn_if_inadmissible(eps):
-    """Warn when eps lies outside [0, eps_max(2)]; call from public entry points."""
+    """Warn when eps lies outside [0, eps_max(2)]; call where a density at eps is built."""
     if not 0.0 <= eps <= _ADMISSIBLE_EPS_MAX:
-        warnings.warn(
-            f"mixture weight {eps!r} outside the admissible range "
-            f"[0, {_ADMISSIBLE_EPS_MAX:.6f}]",
-            stacklevel=3,  # past this helper and its caller, at the library user
-        )
+        warn(f"mixture weight {eps!r} outside the admissible range "
+             f"[0, {_ADMISSIBLE_EPS_MAX:.6f}]")

@@ -40,7 +40,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .bounds import c_bound, eps_max, theta_bound, warn_if_inadmissible
+from .bounds import c_bound, eps_max, theta_bound
 from .digits import digit_law, gauss_kuzmin, gauss_kuzmin_tail
 from .funcspace import DEFAULT_DEGREE, SUP_GRID
 from .maps import MapKind, check_count, check_unit
@@ -116,7 +116,6 @@ def _series_pipeline(args):
 
 
 def _cmd_density(args):
-    warn_if_inadmissible(args.eps)
     m0, m1, series, bound = _series_pipeline(args)
     h_eps = series.at(args.eps)
     res = residual(args.eps, h_eps, m0, m1)
@@ -230,8 +229,8 @@ def _validate(args):
 
 
 def _run(args):
-    # a CLI user gets one line per distinct warning, not the package's
-    # source lines that Python's default format points at
+    # a CLI user gets one line per distinct warning, not the source lines
+    # that Python's default format points at
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

@@ -21,13 +21,11 @@ at eps = 0 everything collapses back to the Gauss-Kuzmin law.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import warn_if_inadmissible
-from .maps import check_count, frozen_copy
+from .maps import check_count, frozen_copy, warn
 
 
 class NormalizationError(RuntimeError):
@@ -102,10 +100,9 @@ def digit_probability(n, eps, series):
     """Limiting probability that a late digit equals n, at weight eps.
 
     Sums the weighted cell integrals of the truncated density
-    expansion.  Weights outside the admissible mixture range trigger a
-    warning but the computation proceeds.
+    expansion.  An inadmissible weight warns once, where ``series.at``
+    builds the density at eps, and the computation proceeds.
     """
-    warn_if_inadmissible(eps)
     h = series.at(eps)
     total = 0.0
     for cell in digit_cells(n):
@@ -141,11 +138,8 @@ def digit_law(eps, series, n_max=100):
     probs = np.array([digit_probability(n, eps, series) for n in range(1, n_max + 1)])
     if np.any(probs < -1e-9):
         worst = float(probs.min())
-        warnings.warn(
-            f"digit probability dips to {worst:.3e}; "
-            f"the series truncation is too coarse for this weight",
-            stacklevel=2,
-        )
+        warn(f"digit probability dips to {worst:.3e}; "
+             f"the series truncation is too coarse for this weight")
     tail = 1.0 - float(probs.sum())
     if tail < -1e-8:
         raise NormalizationError(f"digit probabilities sum to 1 - ({tail:.3e}) > 1")

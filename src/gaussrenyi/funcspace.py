@@ -235,8 +235,6 @@ class ChebFn:
 
     def derivative(self):
         """d/dx as a new ChebFn of degree max(degree - 1, 0)."""
-        if self.degree == 0:
-            return ChebFn([0.0])
         return ChebFn(2.0 * ncheb.chebder(self._coeffs))
 
     # small amount of arithmetic keeps perturbation code readable

@@ -21,7 +21,10 @@ made by it.  :func:`check_count` and :func:`check_unit` are its one range
 rule: every count with a floor and every value required in [0, 1] is
 checked by them, with the messages "<name> must be at least <floor>:
 <value>" and "<name> outside [0, 1]: <value>".  A count that is not an
-integer raises TypeError.
+integer raises TypeError, and :func:`check_degree` reports every degree
+mismatch as "degree mismatch: <a> vs <b>".  :func:`warn` is its one
+warning rule: every warning of the package points at the first caller
+outside the package, however deep the call that warned.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
+import warnings
 
 import numpy as np
 
@@ -54,11 +59,25 @@ def check_count(name, value, low):
         raise ValueError(f"{name} must be at least {low}: {value!r}")
 
 
+def check_degree(a, b):
+    """Reject two operators or functions of different degree (ValueError)."""
+    if a.degree != b.degree:
+        raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
+
+
 def frozen_copy(a, dtype=float):
     """A private read-only copy of ``a`` as an array of ``dtype``."""
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def warn(message, category=UserWarning):
+    """Warn at the line of the first caller outside the package."""
+    frame, level = sys._getframe(1), 2  # stacklevel 2 is the caller of warn
+    while frame and frame.f_globals.get("__name__", "").split(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 def map_step(bits, x, out=None):

@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import warn_if_inadmissible
 from .funcspace import ChebFn, linear_combo
-from .maps import check_count
+from .maps import check_count, check_degree
 from .transfer import annealed, resolvent_solve
 
 
@@ -56,7 +57,7 @@ class PerturbationSeries:
         its cached antiderivative once and return the same immutable
         :class:`ChebFn`.  The memo is swapped as one tuple, so concurrent
         readers see either the old pair or the new one, and it takes no
-        part in equality or ``repr``.
+        part in equality or ``repr``.  An inadmissible eps warns once per h_eps built.
         """
         if not eps >= 0.0:  # also catches NaN
             raise ValueError(f"mixture weight must be at least 0: {eps!r}")
@@ -64,6 +65,7 @@ class PerturbationSeries:
         last = self._last
         if last is not None and last[0] == eps:
             return last[1]
+        warn_if_inadmissible(eps)
         terms = [(1.0, self.h0)]
         terms += [(eps ** (n + 1), c) for n, c in enumerate(self.coeffs)]
         h = linear_combo(terms)
@@ -80,6 +82,7 @@ def mixture_forcing_terms(h0, m1, order):
     nonzero mean signals an operator that does not conserve mass.
     """
     check_count("order", order, 1)
+    check_degree(m1, h0)
     g1_values = m1.entries @ h0.values - h0.values
     g1 = ChebFn.from_values(g1_values)
     mean = g1.integrate()
@@ -102,14 +105,13 @@ def response_table(forcing, m0, m1, order):
     check_count("order", order, 1)
     if len(forcing) < order:
         raise ValueError(f"need {order} forcing terms, got {len(forcing)}")
+    check_degree(m0, m1)
     delta = m1.entries - m0.entries
     table = {}
     for i in range(1, order + 1):
         g = forcing[i - 1]
-        if not np.any(g.coeffs):
-            zero = ChebFn(np.zeros(g.degree + 1))
-            for j in range(order - i + 1):
-                table[(i, j)] = zero
+        if not np.any(g.coeffs):  # g is the zero function, and so are its responses
+            table.update(((i, j), g) for j in range(order - i + 1))
             continue
         cur = resolvent_solve(m0, g)
         table[(i, 0)] = cur
@@ -140,8 +142,8 @@ def mixture_series(h0, m0, m1, order=3):
     """
     check_count("order", order, 1)
     g1 = mixture_forcing_terms(h0, m1, 1)[0]
+    coeffs = [resolvent_solve(m0, g1)]  # checks m0 against the degree of m1
     delta = m1.entries - m0.entries
-    coeffs = [resolvent_solve(m0, g1)]
     for _ in range(2, order + 1):
         nxt = resolvent_solve(
             m0, ChebFn.from_values(delta @ coeffs[-1].values)
@@ -152,7 +154,6 @@ def mixture_series(h0, m0, m1, order=3):
 
 def residual(eps, h, m0, m1):
     """Node sup-norm of L_eps h - h for the mixture at weight eps."""
-    if h.degree != m0.degree:
-        raise ValueError("degree mismatch between operators and function")
+    check_degree(m0, h)
     entries = annealed(eps, m0, m1).entries
     return float(np.max(np.abs(entries @ h.values - h.values)))

@@ -35,7 +35,6 @@ system [[I - M, 1], [q, 0]], for right-hand sides [0; 1] and [g; 0].
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache
 
@@ -54,7 +53,7 @@ from .funcspace import (
     quadrature_weights,
     values_to_coeffs_matrix,
 )
-from .maps import MapKind, check_count, check_kind, frozen_copy
+from .maps import MapKind, check_count, check_degree, check_kind, frozen_copy, warn
 
 DEFAULT_A_MAX = 256  # branch cutoff of the Euler-Maclaurin tail: branches a <= a_max are summed
 _RESIDUAL_LIMIT = 1e-12
@@ -182,11 +181,7 @@ def apply_transfer(kind, f, a_max=DEFAULT_A_MAX):
     M = assemble_operator(kind, f.degree, a_max).entries
     bound = tail_error_bound(f, a_max)
     if bound > 1e-8:
-        warnings.warn(
-            f"tail error bound {bound:.3e} exceeds 1e-8; increase a_max",
-            TailBoundWarning,
-            stacklevel=2,
-        )
+        warn(f"tail error bound {bound:.3e} exceeds 1e-8; increase a_max", TailBoundWarning)
     return ChebFn.from_values(M @ f.values)
 
 
@@ -209,10 +204,9 @@ def assemble_operator(kind, degree=DEFAULT_DEGREE, a_max=DEFAULT_A_MAX):
 
 def annealed(eps, m0, m1):
     """Convex mixture (1 - eps) m0 + eps m1 of two operator matrices."""
-    if m0.degree != m1.degree:
-        raise ValueError(f"degree mismatch: {m0.degree} vs {m1.degree}")
+    check_degree(m0, m1)
     if not 0.0 <= eps <= 1.0:
-        warnings.warn(f"mixture weight {eps!r} outside [0, 1]", stacklevel=2)
+        warn(f"mixture weight {eps!r} outside [0, 1]")
     entries = (1.0 - eps) * m0.entries + eps * m1.entries
     return OperatorMatrix(entries, eps=float(eps))
 
@@ -252,12 +246,8 @@ def invariant_density(m):
         raise ConvergenceError(f"fixed-point residual {res:.3e} exceeds {_RESIDUAL_LIMIT:g}")
     small_negative = (v < 0.0) & (v >= _NEGATIVE_LIMIT)
     if np.any(small_negative):
-        warnings.warn(
-            f"clamped {int(np.sum(small_negative))} node values in "
-            f"[{_NEGATIVE_LIMIT:g}, 0) to zero (max magnitude "
-            f"{float(-v[small_negative].min()):.3e})",
-            stacklevel=2,
-        )
+        warn(f"clamped {int(np.sum(small_negative))} node values in [{_NEGATIVE_LIMIT:g}, 0) "
+             f"to zero (max magnitude {float(-v[small_negative].min()):.3e})")
         v = np.where(small_negative, 0.0, v)
     h = ChebFn.from_values(v)
     grid_min = float(np.min(h(SUP_GRID)))
@@ -273,6 +263,7 @@ def resolvent_solve(m, g):
     zero-mean g it returns the unique solution with zero mean.
     Preconditions: |integral of g| below 1e-10.
     """
+    check_degree(m, g)
     mean = g.integrate()
     if abs(mean) > 1e-10:
         raise ValueError(f"right-hand side must have zero mean, got {mean:.3e}")

@@ -2,14 +2,18 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from gaussrenyi import (
     ChebFn,
+    ConvergenceError,
     MapKind,
+    PerturbationSeries,
     SimConfig,
+    annealed,
     apply_transfer,
     assemble_operator,
     branch_derivative,
@@ -21,10 +25,13 @@ from gaussrenyi import (
     forward,
     gauss_kuzmin,
     gauss_kuzmin_tail,
+    invariant_density,
     inverse_branch,
     mixture_forcing_terms,
     mixture_series,
     norm_cl,
+    residual,
+    resolvent_solve,
     response_table,
     simulate_digit_freq,
     tail_error_bound,
@@ -213,6 +220,53 @@ def test_count_floors(name, low, call):
     # a count that is not an integer is refused, not rounded or passed on
     with pytest.raises(TypeError):
         call(float(low))
+
+
+_G64 = ChebFn(np.eye(65)[1])  # T_1 at degree 64, of zero mean
+
+# site -> call with the degree-32 pair (m0, m1), each meeting a degree-64 function
+_DEGREE_MISMATCHES = {
+    "resolvent_solve": lambda m0, m1: resolvent_solve(m0, _G64),
+    "mixture_forcing_terms": lambda m0, m1: mixture_forcing_terms(_G64, m1, 1),
+    "mixture_series": lambda m0, m1: mixture_series(_G64, m0, m1, 1),
+    "response_table": lambda m0, m1: response_table([_G64], m0, m1, 1),
+    "residual": lambda m0, m1: residual(0.1, _G64, m0, m1),
+}
+
+
+@pytest.mark.parametrize("call", list(_DEGREE_MISMATCHES.values()), ids=list(_DEGREE_MISMATCHES))
+def test_degree_mismatch(call, ops32):
+    # one rule and one message, the one annealed gives, for every degree mismatch
+    with pytest.raises(ValueError, match=re.escape("degree mismatch: 32 vs 64")):
+        call(*ops32)
+
+
+def _caught(call, *args):
+    """The warnings that call(*args) records under an ``always`` filter."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(*args)
+    return caught
+
+
+def _pure_renyi(ops):
+    with pytest.raises(ConvergenceError):  # eps = 1 has no fixed density
+        invariant_density(annealed(1.0, *ops))
+
+
+def test_warnings_point_at_the_caller(series3, ops32, ops128):
+    # one warning rule: a density built at an inadmissible weight warns once,
+    # and every warning points at the first line outside the package
+    fresh = PerturbationSeries(series3.h0, series3.coeffs, 3)
+    law = _caught(digit_law, 0.9, fresh, 50)
+    fresh = PerturbationSeries(series3.h0, series3.coeffs, 3)
+    built = _caught(fresh.at, 0.95)
+    assert (len(law), len(built), len(_caught(fresh.at, 0.95))) == (1, 1, 0)
+    mixture = _caught(residual, 1.2, series3.h0, *ops128)
+    clamp = _caught(_pure_renyi, ops32)
+    assert ["clamped" in str(w.message) for w in mixture + clamp] == [False, False, True]
+    for w in law + built + mixture + clamp:
+        assert w.filename == __file__, (str(w.message), w.filename, w.lineno)
 
 
 def test_composition_consistency_finite_difference():
