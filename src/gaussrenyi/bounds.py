@@ -8,9 +8,11 @@ derivatives is bounded by
 
 with theta < 1 < c.  The convex mixture with weight eps on the Renyi
 map therefore contracts while (1-eps) theta + eps c < 1, which pins the
-admissible range eps <= (1 - theta) / (c - theta).  The i = 1 case is
-not covered by these estimates.  :func:`hurwitz_zeta` is the package's
-one zeta summation.
+admissible range eps <= (1 - theta) / (c - theta).  The index i = 1 is
+refused ("smoothness index must be at least 2"): at i = 1 the two-step
+derivative sums give no contraction constant, since zeta(2)^2 - 3/4 > 1,
+so theta < 1 fails and the Lasota-Yorke estimate does not cover it.
+:func:`hurwitz_zeta` is the package's one zeta summation.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import warn
+from .maps import check_count, warn
 
 # B_2j / (2j)! for j = 1..8, the Euler-Maclaurin correction coefficients
 _BERNOULLI_OVER_FACTORIAL = (
@@ -44,10 +46,10 @@ def hurwitz_zeta(s, q):
     which leaves a remainder far below double rounding for s >= 2 and
     q >= 1.  Vectorised over q.
     """
-    if s <= 1:
+    if not s > 1:  # also catches NaN
         raise ValueError(f"exponent must exceed 1: {s!r}")
     qa = np.asarray(q, dtype=float)
-    if np.any(qa <= 0):
+    if not np.all(qa > 0):
         raise ValueError("offset must exceed 0")
     s = float(s)
     x = qa + _EXPLICIT_TERMS
@@ -64,28 +66,21 @@ def hurwitz_zeta(s, q):
 
 def even_zeta(n):
     """zeta(n) for even n >= 2."""
-    if n < 2 or n % 2 != 0:
+    check_count("zeta argument", n, 2)
+    if n % 2 != 0:
         raise ValueError(f"even integer >= 2 required: {n!r}")
     return hurwitz_zeta(n, 1.0)
 
 
-def _check_index(i):
-    if i < 2:
-        raise ValueError(
-            "smoothness index i >= 2 required; the i = 1 contraction "
-            "estimate is not covered by these constants"
-        )
-
-
 def theta_bound(i):
     """Contraction factor zeta(2i)^2 - (1 - 2^(-2i)), in (0, 1) for i >= 2."""
-    _check_index(i)
+    check_count("smoothness index", i, 2)
     return even_zeta(2 * i) ** 2 - (1.0 - 0.25**i)
 
 
 def c_bound(i):
     """Renyi-pair bound zeta(2i)^2, slightly above 1 and decreasing in i."""
-    _check_index(i)
+    check_count("smoothness index", i, 2)
     return even_zeta(2 * i) ** 2
 
 

@@ -13,7 +13,7 @@ stationary density h_eps:
     eps(1-eps) over [1-1/N, 1-1/(N+1))   (Renyi, Gauss)
     eps^2     over [1-1/(N-1), 1-1/N)    (Renyi, Renyi)
 
-For N = 1 the two cells referencing 1/(N-1) are empty.  The density is
+For N = 1, 1/(N-1) is clipped to 1: those two cells are empty points.  The density is
 supplied as a :class:`~gaussrenyi.perturbation.PerturbationSeries`, so
 at eps = 0 everything collapses back to the Gauss-Kuzmin law.
 """
@@ -73,8 +73,6 @@ class DigitCell:
         return (1.0 - eps) ** i * eps**j
 
     def contains(self, x):
-        if self.is_empty:
-            return False
         if self.omega1 == 0:
             return self.lo < x <= self.hi
         return self.lo <= x < self.hi
@@ -83,17 +81,13 @@ class DigitCell:
 def digit_cells(n):
     """The four (omega1, omega2) cells on which the digit equals n."""
     check_count("digit", n, 1)
-    cells = [DigitCell(0, 0, 1.0 / (n + 1), 1.0 / n)]
-    if n >= 2:
-        cells.append(DigitCell(0, 1, 1.0 / n, 1.0 / (n - 1)))
-    else:
-        cells.append(DigitCell(0, 1, 0.0, 0.0))
-    cells.append(DigitCell(1, 0, 1.0 - 1.0 / n, 1.0 - 1.0 / (n + 1)))
-    if n >= 2:
-        cells.append(DigitCell(1, 1, 1.0 - 1.0 / (n - 1), 1.0 - 1.0 / n))
-    else:
-        cells.append(DigitCell(1, 1, 0.0, 0.0))
-    return cells
+    outer = 1.0 / max(n - 1, 1)  # 1/(n-1) clipped to [0, 1]
+    return [
+        DigitCell(0, 0, 1.0 / (n + 1), 1.0 / n),
+        DigitCell(0, 1, 1.0 / n, outer),
+        DigitCell(1, 0, 1.0 - 1.0 / n, 1.0 - 1.0 / (n + 1)),
+        DigitCell(1, 1, 1.0 - outer, 1.0 - 1.0 / n),
+    ]
 
 
 def digit_probability(n, eps, series):
@@ -114,7 +108,7 @@ def digit_probability(n, eps, series):
 
 @dataclass(frozen=True)
 class DigitLaw:
-    """Digit probabilities 1..n_max plus the mass beyond the cutoff."""
+    """Digit probabilities 1..n_max plus the tail 1 - sum(probs) as computed, at least -1e-8."""
 
     eps: float
     order: int
@@ -129,10 +123,10 @@ def digit_law(eps, series, n_max=100):
     """Tabulate digit probabilities for N = 1..n_max.
 
     The tail mass is assigned by conservation, 1 minus the tabulated
-    sum; small negative tails (above -1e-8) are clamped to zero, larger
-    ones raise NormalizationError.  Entries below -1e-9 indicate series
-    truncation error and are flagged with a warning rather than
-    clamped.
+    sum, and returned as computed: it may lie in [-1e-8, 0), and a tail
+    below -1e-8 raises NormalizationError.  Entries below -1e-9 indicate
+    series truncation error and are flagged with a warning; every entry
+    is returned as computed.
     """
     check_count("digit cutoff", n_max, 1)
     probs = np.array([digit_probability(n, eps, series) for n in range(1, n_max + 1)])
@@ -143,4 +137,4 @@ def digit_law(eps, series, n_max=100):
     tail = 1.0 - float(probs.sum())
     if tail < -1e-8:
         raise NormalizationError(f"digit probabilities sum to 1 - ({tail:.3e}) > 1")
-    return DigitLaw(eps, series.order, probs, max(tail, 0.0))
+    return DigitLaw(eps, series.order, probs, tail)

@@ -30,7 +30,7 @@ import numpy as np
 from .bounds import warn_if_inadmissible
 from .funcspace import ChebFn, linear_combo
 from .maps import check_count, check_degree
-from .transfer import annealed, resolvent_solve
+from .transfer import _MEAN_LIMIT, annealed, resolvent_solve
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,14 @@ def mixture_forcing_terms(h0, m1, order):
     The first derivative is L1 h0 - h0 and all higher ones vanish.  Its
     mean is (q @ M1 - q) . h0 for the quadrature row q, which is zero to
     rounding for any h0, fixed density or not, when M1 conserves mass; a
-    nonzero mean signals an operator that does not conserve mass.
+    mean above 1e-10, resolvent_solve's limit, signals an operator that leaks mass.
     """
     check_count("order", order, 1)
     check_degree(m1, h0)
     g1_values = m1.entries @ h0.values - h0.values
     g1 = ChebFn.from_values(g1_values)
     mean = g1.integrate()
-    if abs(mean) > 1e-9:
+    if abs(mean) > _MEAN_LIMIT:
         raise RuntimeError(
             f"first forcing term has mean {mean:.3e}; "
             f"the complementary operator does not conserve mass"

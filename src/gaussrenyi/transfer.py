@@ -59,6 +59,7 @@ DEFAULT_A_MAX = 256  # branch cutoff of the Euler-Maclaurin tail: branches a <= 
 _RESIDUAL_LIMIT = 1e-12
 _RESOLVENT_LIMIT = 1e-9
 _NEGATIVE_LIMIT = -1e-10
+_MEAN_LIMIT = 1e-10  # largest |mean| of a right-hand side on the zero-mean subspace
 _LAH_6 = frozen_copy([720.0, 1800.0, 1200.0, 300.0, 30.0, 1.0])  # Lah numbers L(6, i), i = 1..6
 
 
@@ -231,11 +232,11 @@ def _bordered_solve(m, rhs):
 def invariant_density(m):
     """Fixed density of an operator matrix, normalized to unit mass.
 
-    Solves the bordered system with right-hand side [0; 1].  Raises
-    ConvergenceError when the system is singular, when the fixed-point
-    residual exceeds 1e-12 or when the density dips below -1e-10 on the
-    sup-norm grid ``SUP_GRID``; node values in [-1e-10, 0) are clamped to
-    zero with a warning.
+    Solves the bordered system with right-hand side [0; 1] and returns
+    its solution unaltered.  Raises ConvergenceError when the system is
+    singular, when the fixed-point residual exceeds 1e-12 or when the
+    density dips below -1e-10 on the sup-norm grid ``SUP_GRID``, the one
+    negativity check.
     """
     if m.eps is not None:
         warn_if_inadmissible(m.eps)
@@ -244,11 +245,6 @@ def invariant_density(m):
     v, res = _bordered_solve(m, rhs)
     if not res <= _RESIDUAL_LIMIT:  # also catches a NaN residual
         raise ConvergenceError(f"fixed-point residual {res:.3e} exceeds {_RESIDUAL_LIMIT:g}")
-    small_negative = (v < 0.0) & (v >= _NEGATIVE_LIMIT)
-    if np.any(small_negative):
-        warn(f"clamped {int(np.sum(small_negative))} node values in [{_NEGATIVE_LIMIT:g}, 0) "
-             f"to zero (max magnitude {float(-v[small_negative].min()):.3e})")
-        v = np.where(small_negative, 0.0, v)
     h = ChebFn.from_values(v)
     grid_min = float(np.min(h(SUP_GRID)))
     if grid_min < _NEGATIVE_LIMIT:
@@ -261,11 +257,11 @@ def resolvent_solve(m, g):
 
     Solves the bordered system with right-hand side [g; 0]; for
     zero-mean g it returns the unique solution with zero mean.
-    Preconditions: |integral of g| below 1e-10.
+    Preconditions: |integral of g| at most 1e-10.
     """
     check_degree(m, g)
     mean = g.integrate()
-    if abs(mean) > 1e-10:
+    if abs(mean) > _MEAN_LIMIT:
         raise ValueError(f"right-hand side must have zero mean, got {mean:.3e}")
     u, res = _bordered_solve(m, np.append(g.values, 0.0))
     if not res <= _RESOLVENT_LIMIT:  # also catches a NaN residual

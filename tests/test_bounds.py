@@ -66,9 +66,9 @@ def test_monotone_in_smoothness():
 
 
 def test_i1_deferred():
-    with pytest.raises(ValueError, match="i >= 2"):
+    with pytest.raises(ValueError, match="smoothness index must be at least 2: 1"):
         theta_bound(1)
-    with pytest.raises(ValueError, match="i >= 2"):
+    with pytest.raises(ValueError, match="smoothness index must be at least 2: 1"):
         c_bound(1)
 
 

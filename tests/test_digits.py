@@ -66,6 +66,8 @@ def test_digit_cells_n1():
     assert cells[1].is_empty
     assert not cells[2].is_empty and cells[2].lo == 0.0 and cells[2].hi == 0.5
     assert cells[3].is_empty
+    # the point cells (1, 1] and [0, 0) contain neither end of [0, 1]
+    assert not any(c.contains(x) for c in (cells[1], cells[3]) for x in (0.0, 1.0))
     with pytest.raises(ValueError):
         digit_cells(0)
 
@@ -206,6 +208,17 @@ def test_law_conservation(series3):
         law = digit_law(eps, series3, n_max)
         assert abs(float(law.probs.sum()) + law.tail_mass - 1.0) < 1e-8
         assert np.all(law.probs > -1e-9)
+
+
+def test_law_returns_a_negative_tail_as_computed(series3, monkeypatch):
+    # an overfilled table above the -1e-8 refusal keeps its tail, so the
+    # law conserves mass exactly
+    from gaussrenyi import digits
+
+    monkeypatch.setattr(digits, "digit_probability", lambda n, eps, series: (1 + 5e-9) / 5)
+    law = digit_law(0.1, series3, 5)
+    assert law.tail_mass == 1.0 - law.probs.sum() < 0.0
+    assert law.probs.sum() + law.tail_mass == 1.0
 
 
 def test_law_probabilities_decay(series3):

@@ -17,11 +17,13 @@ from gaussrenyi import (
     apply_transfer,
     assemble_operator,
     branch_derivative,
+    c_bound,
     chebyshev_nodes,
     density_derivative,
     digit_cells,
     digit_law,
     empirical_density,
+    even_zeta,
     forward,
     gauss_kuzmin,
     gauss_kuzmin_tail,
@@ -35,6 +37,7 @@ from gaussrenyi import (
     response_table,
     simulate_digit_freq,
     tail_error_bound,
+    theta_bound,
     two_step_derivative,
 )
 from gaussrenyi.maps import map_step
@@ -75,6 +78,9 @@ _FLOORS = {
     "tail_error_bound": ("a_max", 8, lambda v: tail_error_bound(None, v)),
     "apply_transfer": ("a_max", 8,
                        lambda v: apply_transfer(MapKind.GAUSS, ChebFn.constant(1.0, 16), v)),
+    "theta_bound": ("smoothness index", 2, theta_bound),
+    "c_bound": ("smoothness index", 2, c_bound),
+    "even_zeta": ("zeta argument", 2, even_zeta),
 }
 
 
@@ -263,9 +269,9 @@ def test_warnings_point_at_the_caller(series3, ops32, ops128):
     built = _caught(fresh.at, 0.95)
     assert (len(law), len(built), len(_caught(fresh.at, 0.95))) == (1, 1, 0)
     mixture = _caught(residual, 1.2, series3.h0, *ops128)
-    clamp = _caught(_pure_renyi, ops32)
-    assert ["clamped" in str(w.message) for w in mixture + clamp] == [False, False, True]
-    for w in law + built + mixture + clamp:
+    renyi = _caught(_pure_renyi, ops32)  # only the admissible-range warning
+    assert ["admissible" in str(w.message) for w in mixture + renyi] == [False, True]
+    for w in law + built + mixture + renyi:
         assert w.filename == __file__, (str(w.message), w.filename, w.lineno)
 
 

@@ -63,12 +63,19 @@ def test_forcing_value_against_brute_force(forcing, h0_128):
     assert abs(forcing[0](0.0) - brute) < 2e-6
 
 
-def test_forcing_rejects_badly_scaled_input(h0_128):
+def test_forcing_rejects_badly_scaled_input(h0_128, ops128):
     # an operator violating mass conservation must be flagged
     n = h0_128.degree + 1
     bogus = OperatorMatrix(1.1 * np.eye(n))
     with pytest.raises(RuntimeError, match="mean"):
         mixture_forcing_terms(h0_128, bogus, 1)
+    # a leak of 5e-10 exceeds the one zero-mean limit, 1e-10, that
+    # resolvent_solve reads too, so the forcing term refuses it first
+    m0, m1 = ops128
+    e0 = np.eye(n)[0]
+    leaky = OperatorMatrix(m1.entries + 5e-10 * np.outer(np.ones(n), e0 / h0_128.values[0]))
+    with pytest.raises(RuntimeError, match="mean"):
+        mixture_series(h0_128, m0, leaky)
 
 
 def test_forcing_accepts_any_input_under_the_true_operator(ops128):

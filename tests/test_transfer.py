@@ -65,6 +65,10 @@ def test_hurwitz_zeta_validation():
         hurwitz_zeta(1.0, 5.0)
     with pytest.raises(ValueError):
         hurwitz_zeta(3.0, -1.0)
+    with pytest.raises(ValueError):
+        hurwitz_zeta(math.nan, 1.0)
+    with pytest.raises(ValueError):
+        hurwitz_zeta(3.0, math.nan)
 
 
 # ------------------------------------------------------- apply_transfer
@@ -378,13 +382,8 @@ def test_invariant_density_warns_outside_admissible(ops32):
 
 def test_invariant_density_rejects_pure_renyi(ops32):
     # at eps = 1 the Renyi density 1/x is not integrable; no
-    # discretized fixed density passes the contract; the solve clamps
-    # small negative node values on its way to the failure
-    with (
-        pytest.raises(ConvergenceError),
-        pytest.warns(UserWarning, match="admissible"),
-        pytest.warns(UserWarning, match="clamped"),
-    ):
+    # discretized fixed density passes the contract
+    with pytest.raises(ConvergenceError), pytest.warns(UserWarning, match="admissible"):
         invariant_density(annealed(1.0, *ops32))
 
 
