@@ -132,13 +132,16 @@ def chop_length(coeffs):
     if env[0] == 0.0:
         return 1
     env = env / env[0]
-    for j in range(2, n + 1):  # 1-based, as in the paper
-        j2 = math.floor(1.25 * j + 5.5)
-        if j2 > n:
-            return n
-        e1, e2 = env[j - 1], env[j2 - 1]
-        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
-            break  # the plateau starts at j - 1
+    # the plateau test at every 1-based j = 2..n whose partner j2 lies in range
+    j = np.arange(2, n + 1)
+    j2 = np.floor(1.25 * j + 5.5).astype(int)
+    j, j2 = j[j2 <= n], j2[j2 <= n]
+    e1, e2 = env[j - 1], env[j2 - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hit = (e1 == 0.0) | (e2 / e1 > 3.0 * (1.0 - np.log(e1) / math.log(tol)))
+    if not hit.any():
+        return n
+    j2 = int(j2[np.argmax(hit)])  # the plateau starts at j - 1 of the first hit
     j3 = int(np.sum(env >= tol ** (7.0 / 6.0)))
     if j3 < j2:
         j2 = j3 + 1

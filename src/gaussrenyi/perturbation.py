@@ -30,7 +30,7 @@ import numpy as np
 from .bounds import warn_if_inadmissible
 from .funcspace import ChebFn, linear_combo
 from .maps import check_count, check_degree
-from .transfer import _MEAN_LIMIT, annealed, resolvent_solve
+from .transfer import _MEAN_LIMIT, _warn_outside_unit, resolvent_solve
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,17 @@ def mixture_series(h0, m0, m1, order=3):
 
 
 def residual(eps, h, m0, m1):
-    """Node sup-norm of L_eps h - h for the mixture at weight eps."""
+    """Node sup-norm of L_eps h - h for the mixture at weight eps.
+
+    Computes (1 - eps) (M0 h) + eps (M1 h) - h on the node values with
+    two mat-vecs and builds no mixture matrix.  Like
+    :func:`~gaussrenyi.transfer.annealed`, it warns at the caller's line
+    when eps lies outside [0, 1], and raises ValueError when the degrees
+    of m0, m1 and h differ.
+    """
+    check_degree(m0, m1)
     check_degree(m0, h)
-    entries = annealed(eps, m0, m1).entries
-    return float(np.max(np.abs(entries @ h.values - h.values)))
+    _warn_outside_unit(eps)
+    v = h.values
+    image = (1.0 - eps) * (m0.entries @ v) + eps * (m1.entries @ v)
+    return float(np.max(np.abs(image - v)))

@@ -31,11 +31,18 @@ probability 1 - eps and Renyi with probability eps is the convex
 mixture (1 - eps) L0 + eps L1.  Its unit-mass fixed density and the
 resolvent (I - L)^(-1) on zero-mean functions both solve the bordered
 system [[I - M, 1], [q, 0]], for right-hand sides [0; 1] and [g; 0].
+A fixed density is solved once per matrix, so :func:`invariant_density`
+runs one ``np.linalg.solve``.  The k resolvent solves of an order-k
+series share one matrix, so :func:`resolvent_solve` inverts the bordered
+matrix once per :class:`OperatorMatrix`, keeps the read-only inverse on
+the record and answers every later solve with mat-vecs.  A fixed
+density's negativity is decided on the grid ``SUP_GRID``; a bound on its
+Chebyshev coefficients settles most densities without the full grid sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -60,6 +67,7 @@ _RESIDUAL_LIMIT = 1e-12
 _RESOLVENT_LIMIT = 1e-9
 _NEGATIVE_LIMIT = -1e-10
 _MEAN_LIMIT = 1e-10  # largest |mean| of a right-hand side on the zero-mean subspace
+_HEAD = 8  # coefficients in the head of the negativity certificate
 _LAH_6 = frozen_copy([720.0, 1800.0, 1200.0, 300.0, 30.0, 1.0])  # Lah numbers L(6, i), i = 1..6
 
 
@@ -76,12 +84,18 @@ class OperatorMatrix:
     """Collocation matrix of a transfer operator acting on node values.
 
     The degree is read off the square entries; the keyword-only eps is the
-    weight of an annealed mixture and None for a single map.
+    weight of an annealed mixture and None for a single map.  The first
+    :func:`resolvent_solve` on a record stores the read-only inverse of
+    its bordered matrix, (degree + 2)^2 floats (135 kB at degree 128,
+    2.1 MB at 512); the memo takes no part in equality or ``repr``.
     """
 
     entries: np.ndarray
     _: KW_ONLY
     eps: float | None = None
+    # inverse of [[I - M, 1], [q, 0]], set by the first resolvent solve
+    _bordered_inv: np.ndarray | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         e = frozen_copy(self.entries)
@@ -203,30 +217,51 @@ def assemble_operator(kind, degree=DEFAULT_DEGREE, a_max=DEFAULT_A_MAX):
     return OperatorMatrix(M[:, ::-1] if kind is MapKind.RENYI else M)
 
 
+def _warn_outside_unit(eps):
+    """Warn at the caller's line when a mixture weight lies outside [0, 1]."""
+    if not 0.0 <= eps <= 1.0:
+        warn(f"mixture weight {eps!r} outside [0, 1]")
+
+
 def annealed(eps, m0, m1):
     """Convex mixture (1 - eps) m0 + eps m1 of two operator matrices."""
     check_degree(m0, m1)
-    if not 0.0 <= eps <= 1.0:
-        warn(f"mixture weight {eps!r} outside [0, 1]")
+    _warn_outside_unit(eps)
     entries = (1.0 - eps) * m0.entries + eps * m1.entries
     return OperatorMatrix(entries, eps=float(eps))
 
 
-def _bordered_solve(m, rhs):
-    """Solve [[I - M, 1], [q, 0]] [u; c] = rhs for the quadrature row q.
-
-    Returns u and its residual max|u - M u - rhs[:n]| in (I - M) u = rhs[:n].
-    """
+def _bordered_matrix(m):
+    """The bordered matrix [[I - M, 1], [q, 0]] for the quadrature row q."""
     n = m.degree + 1
     B = np.zeros((n + 1, n + 1))
     B[:n, :n] = np.eye(n) - m.entries
     B[:n, n] = 1.0
     B[n, :n] = quadrature_weights(m.degree)
+    return B
+
+
+def _bordered(linalg_op, m, *args):
+    """``linalg_op`` of the bordered matrix of m; a singular one raises ConvergenceError."""
     try:
-        u = np.linalg.solve(B, rhs)[:n]
+        return linalg_op(_bordered_matrix(m), *args)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"bordered system is singular: {exc}") from exc
-    return u, float(np.max(np.abs(u - m.entries @ u - rhs[:n])))
+
+
+def _fixed_residual(m, u, g):
+    """Residual max|u - M u - g| of u in (I - M) u = g."""
+    return float(np.max(np.abs(u - m.entries @ u - g)))
+
+
+def _certified_positive(c):
+    """True when h = sum_k c_k T_k(2x - 1) is positive on ``SUP_GRID``, by coefficients.
+
+    |T_k| <= 1 on [0, 1], so h >= head - sum_(k >= 8) |c_k| for its
+    degree-7 head.  The head is summed on the grid in 8 terms, not the full degree.
+    """
+    head_min = float(np.min(ncheb.chebval(2.0 * SUP_GRID - 1.0, c[:_HEAD])))
+    return head_min > float(np.sum(np.abs(c[_HEAD:])))
 
 
 def invariant_density(m):
@@ -235,17 +270,27 @@ def invariant_density(m):
     Solves the bordered system with right-hand side [0; 1] and returns
     its solution unaltered.  Raises ConvergenceError when the system is
     singular, when the fixed-point residual exceeds 1e-12 or when the
-    density dips below -1e-10 on the sup-norm grid ``SUP_GRID``, the one
-    negativity check.
+    density dips below -1e-10 on the sup-norm grid ``SUP_GRID``.
+    Negativity is decided in two steps.  First a certificate: when the
+    smallest value of the density's degree-7 head on the grid exceeds the
+    sum of |c_k| over its other coefficients, the density is positive on
+    the grid and is returned without the full grid sum.  Otherwise the
+    density is evaluated on the grid, and a dip below -1e-10 is refused.
+    Both steps accept and refuse the same densities, since the -1e-10
+    margin covers all rounding in the grid sum.
     """
     if m.eps is not None:
         warn_if_inadmissible(m.eps)
-    rhs = np.zeros(m.degree + 2)
+    n = m.degree + 1
+    rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
-    v, res = _bordered_solve(m, rhs)
+    v = _bordered(np.linalg.solve, m, rhs)[:n]
+    res = _fixed_residual(m, v, 0.0)
     if not res <= _RESIDUAL_LIMIT:  # also catches a NaN residual
         raise ConvergenceError(f"fixed-point residual {res:.3e} exceeds {_RESIDUAL_LIMIT:g}")
     h = ChebFn.from_values(v)
+    if _certified_positive(h.coeffs):
+        return h
     grid_min = float(np.min(h(SUP_GRID)))
     if grid_min < _NEGATIVE_LIMIT:
         raise ConvergenceError(f"density dips to {grid_min:.3e} on the grid")
@@ -256,14 +301,31 @@ def resolvent_solve(m, g):
     """Solve (I - m) u = g on the zero-mean subspace.
 
     Solves the bordered system with right-hand side [g; 0]; for
-    zero-mean g it returns the unique solution with zero mean.
+    zero-mean g it returns the unique solution with zero mean.  The
+    first solve on a record inverts the bordered matrix and stores the
+    read-only inverse on it, (degree + 2)^2 floats.  Every solve then
+    applies the inverse twice, the second time in one refinement step,
+    and meets the 1e-9 residual gate.  Raises
+    ConvergenceError when the system is singular or the residual fails.
     Preconditions: |integral of g| at most 1e-10.
     """
     check_degree(m, g)
     mean = g.integrate()
     if abs(mean) > _MEAN_LIMIT:
         raise ValueError(f"right-hand side must have zero mean, got {mean:.3e}")
-    u, res = _bordered_solve(m, np.append(g.values, 0.0))
+    inv = m._bordered_inv
+    if inv is None:
+        inv = frozen_copy(_bordered(np.linalg.inv, m))
+        object.__setattr__(m, "_bordered_inv", inv)
+    n = m.degree + 1
+    rhs = np.append(g.values, 0.0)
+    x = inv @ rhs
+    # one refinement step on the bordered residual keeps q . u = 0 as close as
+    # a direct solve does; the inverse alone leaves |q . u| near 1e-15
+    u, c = x[:n], x[n]
+    r = rhs - np.append(u - m.entries @ u + c, quadrature_weights(m.degree) @ u)
+    u = (x + inv @ r)[:n]
+    res = _fixed_residual(m, u, g.values)
     if not res <= _RESOLVENT_LIMIT:  # also catches a NaN residual
         raise ConvergenceError(f"resolvent residual {res:.3e} exceeds {_RESOLVENT_LIMIT:g}")
     return ChebFn.from_values(u)

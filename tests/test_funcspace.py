@@ -148,6 +148,53 @@ def test_chop_length():
         assert n < 25 and np.max(np.abs(c[n:])) < 1e-13, (degree, n)
 
 
+def _chop_length_loop(coeffs):
+    # the plateau scan as a Python loop over j, kept as the oracle of chop_length
+    tol = 2.0**-52
+    n = len(coeffs)
+    if n < 17:
+        return n
+    env = np.maximum.accumulate(np.abs(np.asarray(coeffs, dtype=float))[::-1])[::-1]
+    if env[0] == 0.0:
+        return 1
+    env = env / env[0]
+    for j in range(2, n + 1):
+        j2 = math.floor(1.25 * j + 5.5)
+        if j2 > n:
+            return n
+        e1, e2 = env[j - 1], env[j2 - 1]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+            break
+    j3 = int(np.sum(env >= tol ** (7.0 / 6.0)))
+    if j3 < j2:
+        j2 = j3 + 1
+        env[j2 - 1] = tol ** (7.0 / 6.0)
+    cc = np.log10(env[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(cc)), 1)
+
+
+def test_chop_length_matches_the_loop():
+    # the vectorised plateau test cuts every series where the loop does
+    rng = np.random.default_rng(2017)
+    family = [np.zeros(40), np.ones(40), 0.1 ** np.arange(40)]
+    for _ in range(300):
+        n = int(rng.integers(17, 300))
+        k = np.arange(n)
+        decay = rng.uniform(0.05, 0.95) ** k
+        noise = 10.0 ** rng.uniform(-18, -10) * rng.standard_normal(n)
+        c = decay + noise  # geometric decay onto a noise plateau
+        zeros = c.copy()
+        start = int(rng.integers(1, n))
+        zeros[start : start + int(rng.integers(1, n))] = 0.0  # a zero run
+        family += [c, zeros, decay, rng.standard_normal(n),  # no plateau
+                   rng.uniform(1e-3, 0.2) ** k,  # below tol^(7/6) before j2
+                   np.concatenate([decay[: n // 2], np.zeros(n - n // 2)])]
+    cuts = [(chop_length(c), _chop_length_loop(c), len(c)) for c in family]
+    assert all(new == old for new, old, _ in cuts)
+    # the family reaches both exits: a cut, and no plateau at all
+    assert any(new == n for new, _, n in cuts) and any(new < n for new, _, n in cuts)
+
+
 def test_integrate_on_memo_is_bounded():
     # the memo of the antiderivative keeps its last few points, not all
     f = ChebFn(np.random.default_rng(44).standard_normal(129))

@@ -12,6 +12,7 @@ from gaussrenyi import (
     OperatorMatrix,
     PerturbationSeries,
     annealed,
+    assemble_operator,
     brute_force_transfer,
     density_derivative,
     invariant_density,
@@ -291,3 +292,16 @@ def test_residual_slope(series3, ops128):
     values = [residual(e, series3.at(e), m0, m1) for e in grid]
     slope = np.polyfit(np.log(grid), np.log(values), 1)[0]
     assert 3.7 < slope < 4.3
+
+
+def test_residual_takes_two_mat_vecs(series3, ops128):
+    # (1 - eps) M0 h + eps M1 h - h agrees with the mixture matrix's residual
+    m0, m1 = ops128
+    for eps in (0.0, 0.3, 0.9):
+        for h in (series3.h0, series3.at(0.05)):
+            v = h.values
+            mixed = float(np.max(np.abs(annealed(eps, m0, m1).entries @ v - v)))
+            assert abs(residual(eps, h, m0, m1) - mixed) <= 1e-15 * np.max(np.abs(v)), eps
+    m1_64 = assemble_operator(MapKind.RENYI, 64)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        residual(0.1, series3.h0, m0, m1_64)

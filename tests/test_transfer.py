@@ -1,6 +1,7 @@
 """Transfer operator application, discretization, fixed point, resolvent."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -22,9 +23,12 @@ from gaussrenyi import (
     assemble_operator,
     hurwitz_zeta,
     invariant_density,
+    mixture_forcing_terms,
+    mixture_series,
     norm_sup,
     quadrature_weights,
     resolvent_solve,
+    response_table,
     tail_error_bound,
 )
 from gaussrenyi import funcspace, transfer
@@ -296,6 +300,7 @@ def test_kept_arrays_are_read_only():
         ChebFn.constant(1.0, 16).values,
         funcspace.SUP_GRID,
         transfer._LAH_6,
+        _solved(assemble_operator(MapKind.GAUSS, 16))._bordered_inv,
     ]
     assert [a.flags.writeable for a in kept] == [False] * len(kept)
 
@@ -383,8 +388,75 @@ def test_invariant_density_warns_outside_admissible(ops32):
 def test_invariant_density_rejects_pure_renyi(ops32):
     # at eps = 1 the Renyi density 1/x is not integrable; no
     # discretized fixed density passes the contract
-    with pytest.raises(ConvergenceError), pytest.warns(UserWarning, match="admissible"):
+    dip = re.escape("density dips to -8.749e+01 on the grid")
+    with pytest.raises(ConvergenceError, match=dip), pytest.warns(UserWarning, match="admissible"):
         invariant_density(annealed(1.0, *ops32))
+
+
+@pytest.mark.parametrize("degree", [32, 128])
+def test_negativity_decided_by_the_grid(degree, ops32, ops128):
+    # the coefficient certificate only skips the grid sum: a density is
+    # returned exactly when it stays above -1e-10 on SUP_GRID
+    m0, m1 = ops32 if degree == 32 else ops128
+    n = degree + 1
+    rhs = np.append(np.zeros(n), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # eps above eps_max(2)
+        for eps in (0.0, 0.3, 0.6, 0.8, 0.85, 0.9, 0.95, 0.99, 1.0):
+            m = annealed(eps, m0, m1)
+            solved = ChebFn.from_values(np.linalg.solve(transfer._bordered_matrix(m), rhs)[:n])
+            grid_min = float(np.min(solved(funcspace.SUP_GRID)))
+            if grid_min >= -1e-10:
+                assert np.array_equal(invariant_density(m).coeffs, solved.coeffs), eps
+            else:
+                with pytest.raises(ConvergenceError, match=re.escape(f"dips to {grid_min:.3e} ")):
+                    invariant_density(m)
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    # one entry per ChebFn call: whether it evaluated the whole SUP_GRID
+    on_grid = []
+    call = ChebFn.__call__
+
+    def counted(f, x):
+        on_grid.append(x is funcspace.SUP_GRID)
+        return call(f, x)
+
+    monkeypatch.setattr(ChebFn, "__call__", counted)
+    return on_grid
+
+
+def test_certificate_skips_the_grid_sum(grid_calls, ops128):
+    # at eps 0.1 the coefficients certify positivity; at 0.99 the grid decides
+    counts = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # eps above eps_max(2)
+        for eps in (0.1, 0.99):
+            grid_calls.clear()
+            invariant_density(annealed(eps, *ops128))
+            counts.append(sum(grid_calls))
+    assert counts == [0, 1]
+
+
+@pytest.mark.parametrize("tail, accepted, grid_sums", [
+    ({8: 0.5}, True, 0),  # h >= 1 - 0.5: certified
+    ({8: 0.55, 16: 0.55}, True, 1),  # h >= 1 - 1.125 * 0.55, but the tail sums to 1.1
+    ({8: -2.0}, False, 1),  # a head of 1, yet h dips to -1
+])
+def test_certificate_is_sound(grid_calls, tail, accepted, grid_sums):
+    # M = v q^T has the unit-mass fixed density v, here h = T_0 + sum_k tail[k] T_k scaled
+    c = np.zeros(17)
+    c[0] = 1.0
+    c[list(tail)] = list(tail.values())
+    h = ChebFn(c)
+    m = OperatorMatrix(np.outer(h.values / h.integrate(), quadrature_weights(16)))
+    if accepted:
+        assert np.allclose(invariant_density(m).coeffs, c / h.integrate(), rtol=0, atol=1e-14)
+    else:
+        with pytest.raises(ConvergenceError, match="dips to"):
+            invariant_density(m)
+    assert sum(grid_calls) == grid_sums
 
 
 def test_invariant_density_rejects_bad_operator():
@@ -456,6 +528,60 @@ def test_resolvent_random_and_neumann(ops128):
             if np.max(np.abs(term)) < 1e-11:
                 break
         assert np.max(np.abs(acc - u.values)) < 1e-8
+
+
+def _solved(m):
+    # a record after one resolvent solve, so it holds its bordered inverse
+    resolvent_solve(m, ChebFn(np.eye(m.degree + 1)[1]))  # T_1(2x - 1) has zero mean
+    return m
+
+
+def test_resolvent_inverts_once_per_operator(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    m0, m1 = (assemble_operator(kind, 128) for kind in (MapKind.GAUSS, MapKind.RENYI))
+    h0 = invariant_density(m0)
+    mixture_series(h0, m0, m1, 20)
+    response_table(mixture_forcing_terms(h0, m1, 20), m0, m1, 20)
+    assert calls == [(130, 130)]
+
+
+def test_bordered_inverse_is_private_to_its_record():
+    a, b = assemble_operator(MapKind.GAUSS, 32), assemble_operator(MapKind.GAUSS, 32)
+    _solved(a)
+    assert a._bordered_inv is not None and b._bordered_inv is None
+    # the memo takes no part in equality or repr
+    small = [OperatorMatrix([[0.5]]), OperatorMatrix([[0.5]])]
+    resolvent_solve(small[0], ChebFn([0.0]))
+    assert small[0]._bordered_inv is not None and small[1]._bordered_inv is None
+    assert small[0] == small[1] and repr(small[0]) == repr(small[1])
+    assert "_bordered_inv" not in repr(small[0])
+
+
+def test_resolvent_rejects_singular_system():
+    with pytest.raises(ConvergenceError, match="singular"):
+        resolvent_solve(OperatorMatrix(np.eye(9)), ChebFn(np.eye(9)[1]))
+
+
+@pytest.mark.parametrize("degree", [32, 512])
+def test_stored_inverse_agrees_with_solve(degree):
+    # the stored inverse answers what a fresh solve of the bordered system
+    # does, and its refinement step keeps the mean as small as the solve's
+    m0, m1 = (assemble_operator(kind, degree) for kind in (MapKind.GAUSS, MapKind.RENYI))
+    B = transfer._bordered_matrix(m0)
+    g = mixture_forcing_terms(invariant_density(m0), m1, 1)[0]
+    for _ in range(2):  # the first solve inverts, the second reads the memo
+        u = resolvent_solve(m0, g)
+        want = np.linalg.solve(B, np.append(g.values, 0.0))[:-1]
+        assert np.max(np.abs(u.values - want)) < 1e-13
+        assert abs(u.integrate()) < 2e-16
+        g = ChebFn.from_values((m1.entries - m0.entries) @ u.values)
 
 
 def test_resolvent_mean_precondition(ops128):
