@@ -14,11 +14,15 @@ simulate     Monte Carlo digit frequencies
 
 Output is CSV (default) or JSON with a provenance header that echoes
 the full configuration, so identical invocations produce byte-identical
-files.  The ``tail_error_bound`` header field is
-:func:`gaussrenyi.transfer.tail_error_bound` of the base density, chopped
-at its rounding plateau: the Euler-Maclaurin remainder bound of the
-branch tail beyond ``a_max``.  Warnings go to stderr, never into the
-data stream: each distinct message once, as ``gaussrenyi: warning: ...``.
+files with one BLAS build and one BLAS thread count; other thread counts
+move the last bits of the matrix products.  The ``tail_error_bound``
+header field is :func:`gaussrenyi.transfer.tail_error_bound`, the
+Euler-Maclaurin remainder bound of the branch tail beyond ``a_max``, of
+the functions the table is made of: for ``density`` the largest over
+h0, c_1..c_k and h_eps, for ``digits`` that of h_eps, whose cell
+integrals the law sums, and for ``convergence`` that of h0.  Warnings
+go to stderr, never into the data stream: each distinct message once,
+as ``gaussrenyi: warning: ...``.
 Exit codes:
 0 success, 1 invalid configuration (or one too large to allocate), 2 numerical failure.
 
@@ -111,24 +115,26 @@ def _series_pipeline(args):
     m0 = assemble_operator(MapKind.GAUSS, args.degree, args.a_max)
     m1 = assemble_operator(MapKind.RENYI, args.degree, args.a_max)
     h0 = invariant_density(m0)
-    series = mixture_series(h0, m0, m1, args.order)
-    return m0, m1, series, tail_error_bound(h0, args.a_max)
+    return m0, m1, mixture_series(h0, m0, m1, args.order)
 
 
 def _cmd_density(args):
-    m0, m1, series, bound = _series_pipeline(args)
+    m0, m1, series = _series_pipeline(args)
     h_eps = series.at(args.eps)
     res = residual(args.eps, h_eps, m0, m1)
+    printed = [series.h0, *series.coeffs, h_eps]
+    bound = max(tail_error_bound(f, args.a_max) for f in printed)
     xs = np.linspace(0.0, 1.0, args.grid)
     header = ["x", "h0"] + [f"c{n}" for n in range(1, args.order + 1)] + ["h_eps"]
-    columns = [xs, series.h0(xs)] + [c(xs) for c in series.coeffs] + [h_eps(xs)]
+    columns = [xs] + [f(xs) for f in printed]
     rows = [list(vals) for vals in zip(*columns)]
     return header, rows, {"tail_error_bound": bound, "residual_sup": res}
 
 
 def _cmd_digits(args):
-    _, _, series, bound = _series_pipeline(args)
+    _, _, series = _series_pipeline(args)
     law = digit_law(args.eps, series, args.n_max)
+    bound = tail_error_bound(series.at(args.eps), args.a_max)
     header = ["N", "p_approx", "p_gauss_kuzmin"]
     gk = [gauss_kuzmin(n) for n in range(1, args.n_max + 1)]
     gk_tail = gauss_kuzmin_tail(args.n_max)
@@ -139,7 +145,8 @@ def _cmd_digits(args):
 
 
 def _cmd_convergence(args):
-    m0, m1, series, bound = _series_pipeline(args)
+    m0, m1, series = _series_pipeline(args)
+    bound = tail_error_bound(series.h0, args.a_max)
     references = {eps: invariant_density(annealed(eps, m0, m1))(SUP_GRID)
                   for eps in _CONVERGENCE_GRID}
     header = ["eps", "k", "sup_error_vs_reference", "residual", "fitted_slope"]

@@ -106,7 +106,7 @@ def digit_probability(n, eps, series):
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DigitLaw:
     """Digit probabilities 1..n_max plus the tail 1 - sum(probs) as computed, at least -1e-8."""
 

@@ -2,18 +2,27 @@
 
 A :class:`ChebFn` stores the coefficients of a polynomial interpolant
 through the Chebyshev-Lobatto points mapped to [0, 1].  For analytic
-functions the representation converges geometrically in the degree; at
-the default degree 128 the largest of the last 8 coefficients of the fixed
-density h_eps is 7e-14 at eps 0.9, 1.1e-10 at 0.95 and 7.8e-6 at 0.99.
+functions the representation converges geometrically in the degree,
+down to a plateau of rounding noise.  The solvers of
+:mod:`~gaussrenyi.transfer` store every function they return chopped
+(:func:`chopped`): the coefficients past the standardChop plateau
+(:func:`chop_length`) are zero and their integral sits on c_0, while
+the degree stays.  At the default degree 128 the Gauss density keeps
+20 of its 129 coefficients, h_eps keeps 31, 54 and 92 at eps 0.1, 0.5
+and 0.8 and all 129 from eps 0.9 on, and the series coefficients
+c_1..c_20 keep 27 to 83.  A function built by a caller keeps every
+coefficient it was given.
 Evaluation uses the Clenshaw recurrence, integration and
 differentiation act exactly on the coefficient space.  Evaluation and
 :meth:`ChebFn.integrate_on` run the recurrence with the coefficients as
 Python floats, in numpy's order of operations, so they give numpy's
 ``chebval`` bits; a scalar argument costs only its arithmetic.  Each
-function keeps its coefficient list once, stored highest degree first,
-and the recurrence walks it front to back: numpy's loop reads
-``c[-i]`` for i = 3, 4, ..., which is the same sequence, so the walk
-does the same operations in the same order without indexing.  The
+function keeps its coefficient list once, up to its last non-zero
+coefficient and stored highest degree first, and the recurrence walks
+it front to back: numpy's loop reads ``c[-i]`` for i = 3, 4, ..., which
+is the same sequence, so the walk does the same operations in the same
+order without indexing, and trailing zeros leave numpy's sums where the
+shorter list starts them.  The
 antiderivative F behind ``integrate_on`` is numpy's ``chebint``, built
 once per function and cached, like the node values; F is read through a
 memo of its last 8 points, so a run of neighbouring intervals, such as
@@ -150,6 +159,18 @@ def chop_length(coeffs):
     return max(int(np.argmin(cc)), 1)
 
 
+def _reversed_head(c):
+    """Coefficients up to the last non-zero one as floats, highest degree first.
+
+    Clenshaw over trailing zeros leaves its two running sums at
+    (c_m-1, c_m) for the last non-zero c_m, exactly where a sum over the
+    trimmed list starts, so both give the same bits.
+    """
+    nz = np.flatnonzero(c)
+    m = int(nz[-1]) if nz.size else 0
+    return c[m::-1].tolist()
+
+
 class ChebFn:
     """Polynomial interpolant on [0, 1] in the Chebyshev basis T_k(2x - 1)."""
 
@@ -211,7 +232,7 @@ class ChebFn:
     def __call__(self, x):
         if self._rlist is None:
             # the Clenshaw sum walks the floats highest degree first
-            self._rlist = self._coeffs[::-1].tolist()
+            self._rlist = _reversed_head(self._coeffs)
         if np.isscalar(x) or np.ndim(x) == 0:
             x = float(x)
             check_unit("argument", x)
@@ -230,7 +251,7 @@ class ChebFn:
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValueError(f"invalid integration bounds [{lo!r}, {hi!r}]")
         if self._anti is None:
-            anti = ncheb.chebint(self._coeffs, scl=0.5)[::-1].tolist()
+            anti = _reversed_head(ncheb.chebint(self._coeffs, scl=0.5))
             # neighbouring intervals share their ends: a bounded memo of F
             self._anti = lru_cache(maxsize=8)(lambda x: _clenshaw(anti, 2.0 * x - 1.0))
         F = self._anti
@@ -277,6 +298,24 @@ def linear_combo(terms):
     for a, f in terms:
         c[: f.degree + 1] += float(a) * f.coeffs
     return ChebFn(c)
+
+
+def chopped(f):
+    """f with its coefficients past :func:`chop_length` set to zero, degree kept.
+
+    The exact integral of the cut tail, ``integral_row(d)[n:] @ c[n:]``,
+    is added onto c_0, so the mass of a density and the mean of a
+    zero-mean function are kept.  The solvers of
+    :mod:`~gaussrenyi.transfer` return their functions through this.
+    """
+    c = f.coeffs
+    n = chop_length(c)
+    if not np.any(c[n:]):
+        return f
+    kept = np.zeros_like(c)
+    kept[:n] = c[:n]
+    kept[0] += integral_row(f.degree)[n:] @ c[n:]
+    return ChebFn(kept)
 
 
 def norm_sup(f):

@@ -33,15 +33,18 @@ from .maps import check_count, check_degree
 from .transfer import _MEAN_LIMIT, _warn_outside_unit, resolvent_solve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationSeries:
-    """Base density plus Taylor coefficients c_1..c_k of eps -> h_eps."""
+    """Base density plus Taylor coefficients c_1..c_k of eps -> h_eps.
+
+    Equality and hashing are by identity, as for :class:`ChebFn`.
+    """
 
     h0: ChebFn
     coeffs: tuple
     order: int
     # (float(eps), h_eps) of the last evaluation, replaced as one tuple
-    _last: tuple = field(default=None, init=False, repr=False, compare=False)
+    _last: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.coeffs) != self.order:
@@ -57,7 +60,7 @@ class PerturbationSeries:
         its cached antiderivative once and return the same immutable
         :class:`ChebFn`.  The memo is swapped as one tuple, so concurrent
         readers see either the old pair or the new one, and it takes no
-        part in equality or ``repr``.  An inadmissible eps warns once per h_eps built.
+        part in ``repr``.  An inadmissible eps warns once per h_eps built.
         """
         if not eps >= 0.0:  # also catches NaN
             raise ValueError(f"mixture weight must be at least 0: {eps!r}")

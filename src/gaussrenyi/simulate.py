@@ -66,7 +66,7 @@ class SimConfig:
         check_count("seed", self.seed, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalLaw:
     """Digit counts for N = 1..n_max plus an overflow bucket; the total is their sum."""
 
@@ -88,7 +88,7 @@ class EmpiricalLaw:
         return np.sqrt(p * (1.0 - p) / self.total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityHistogram:
     """Normalized histogram of orbit positions after burn-in, in equal bins of [0, 1]."""
 

@@ -35,9 +35,11 @@ A fixed density is solved once per matrix, so :func:`invariant_density`
 runs one ``np.linalg.solve``.  The k resolvent solves of an order-k
 series share one matrix, so :func:`resolvent_solve` inverts the bordered
 matrix once per :class:`OperatorMatrix`, keeps the read-only inverse on
-the record and answers every later solve with mat-vecs.  A fixed
-density's negativity is decided on the grid ``SUP_GRID``; a bound on its
-Chebyshev coefficients settles most densities without the full grid sum.
+the record and answers every later solve with mat-vecs.  Both return
+their solution chopped at its rounding plateau, with the mass or mean
+kept.  A fixed density's negativity is decided on the grid ``SUP_GRID``;
+a bound on its Chebyshev coefficients settles most densities without the
+full grid sum.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .funcspace import (
     ChebFn,
     chebyshev_nodes,
     chop_length,
+    chopped,
     quadrature_weights,
     values_to_coeffs_matrix,
 )
@@ -79,7 +82,7 @@ class ConvergenceError(RuntimeError):
     """A numerical iteration or solve failed to meet its contract."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Collocation matrix of a transfer operator acting on node values.
 
@@ -87,15 +90,15 @@ class OperatorMatrix:
     weight of an annealed mixture and None for a single map.  The first
     :func:`resolvent_solve` on a record stores the read-only inverse of
     its bordered matrix, (degree + 2)^2 floats (135 kB at degree 128,
-    2.1 MB at 512); the memo takes no part in equality or ``repr``.
+    2.1 MB at 512); the memo takes no part in ``repr``.  Equality and
+    hashing are by identity, as for every record that holds an array.
     """
 
     entries: np.ndarray
     _: KW_ONLY
     eps: float | None = None
     # inverse of [[I - M, 1], [q, 0]], set by the first resolvent solve
-    _bordered_inv: np.ndarray | None = field(default=None, init=False, repr=False,
-                                             compare=False)
+    _bordered_inv: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         e = frozen_copy(self.entries)
@@ -267,8 +270,13 @@ def _certified_positive(c):
 def invariant_density(m):
     """Fixed density of an operator matrix, normalized to unit mass.
 
-    Solves the bordered system with right-hand side [0; 1] and returns
-    its solution unaltered.  Raises ConvergenceError when the system is
+    Solves the bordered system with right-hand side [0; 1].  Once the
+    solution meets the residual gate it is chopped
+    (:func:`~gaussrenyi.funcspace.chopped`): its coefficients past the
+    standardChop plateau are set to zero and their exact integral is
+    added onto c_0, so the mass stays 1 to rounding.  The negativity
+    screen judges, and the function returns, the chopped density.
+    Raises ConvergenceError when the system is
     singular, when the fixed-point residual exceeds 1e-12 or when the
     density dips below -1e-10 on the sup-norm grid ``SUP_GRID``.
     Negativity is decided in two steps.  First a certificate: when the
@@ -288,7 +296,7 @@ def invariant_density(m):
     res = _fixed_residual(m, v, 0.0)
     if not res <= _RESIDUAL_LIMIT:  # also catches a NaN residual
         raise ConvergenceError(f"fixed-point residual {res:.3e} exceeds {_RESIDUAL_LIMIT:g}")
-    h = ChebFn.from_values(v)
+    h = chopped(ChebFn.from_values(v))
     if _certified_positive(h.coeffs):
         return h
     grid_min = float(np.min(h(SUP_GRID)))
@@ -305,7 +313,10 @@ def resolvent_solve(m, g):
     first solve on a record inverts the bordered matrix and stores the
     read-only inverse on it, (degree + 2)^2 floats.  Every solve then
     applies the inverse twice, the second time in one refinement step,
-    and meets the 1e-9 residual gate.  Raises
+    and meets the 1e-9 residual gate.  The solution is then returned
+    chopped (:func:`~gaussrenyi.funcspace.chopped`): its coefficients
+    past the standardChop plateau are set to zero and their exact
+    integral is added onto c_0, so the mean stays 0 to rounding.  Raises
     ConvergenceError when the system is singular or the residual fails.
     Preconditions: |integral of g| at most 1e-10.
     """
@@ -328,4 +339,4 @@ def resolvent_solve(m, g):
     res = _fixed_residual(m, u, g.values)
     if not res <= _RESOLVENT_LIMIT:  # also catches a NaN residual
         raise ConvergenceError(f"resolvent residual {res:.3e} exceeds {_RESOLVENT_LIMIT:g}")
-    return ChebFn.from_values(u)
+    return chopped(ChebFn.from_values(u))

@@ -5,6 +5,9 @@ import math
 
 import pytest
 
+from gaussrenyi import (
+    MapKind, assemble_operator, invariant_density, mixture_series, tail_error_bound,
+)
 from gaussrenyi.cli import main
 
 FAST = ["--degree", "64", "--a-max", "64", "--order", "2"]
@@ -42,6 +45,20 @@ def test_density_table(tmp_path):
     # grid point x = 0 carries the Gauss density value 1/ln 2
     assert abs(float(rows[0][1]) - 1.0 / math.log(2.0)) < 1e-10
     assert float(prov["residual_sup"]) < 0.5 * 0.05**3
+
+
+def test_tail_bound_is_that_of_the_printed_functions(tmp_path):
+    # density reports the largest bound over h0, c_1..c_k and h_eps, and
+    # digits the bound of h_eps, whose cell integrals make its law
+    m0, m1 = (assemble_operator(kind, 64, 64) for kind in (MapKind.GAUSS, MapKind.RENYI))
+    series = mixture_series(invariant_density(m0), m0, m1, 2)
+    h_eps = series.at(0.5)
+    bounds = [tail_error_bound(f, 64) for f in (series.h0, *series.coeffs, h_eps)]
+    assert max(bounds) > bounds[0]  # h0's bound alone would understate it
+    for command, want in (("density", max(bounds)), ("digits", bounds[-1])):
+        code, out = run(tmp_path, f"{command}.csv", [command, "--eps", "0.5"] + FAST)
+        assert code == 0
+        assert float(read_csv(out)[0]["tail_error_bound"]) == want, command
 
 
 def test_density_eps_zero_columns_coincide(tmp_path):

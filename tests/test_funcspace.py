@@ -8,7 +8,7 @@ import numpy.polynomial.chebyshev as ncheb
 import pytest
 
 from gaussrenyi import ChebFn, chebyshev_nodes, linear_combo, norm_cl, norm_sup
-from gaussrenyi.funcspace import chop_length
+from gaussrenyi.funcspace import chop_length, chopped
 
 from conftest import random_smooth_fn
 
@@ -193,6 +193,48 @@ def test_chop_length_matches_the_loop():
     assert all(new == old for new, old, _ in cuts)
     # the family reaches both exits: a cut, and no plateau at all
     assert any(new == n for new, _, n in cuts) and any(new < n for new, _, n in cuts)
+
+
+def test_chopped_zeroes_the_tail_and_keeps_the_integral():
+    # geometric decay onto a noise plateau: the noise is cut, its exact
+    # integral moves onto c_0, and the degree stays
+    rng = np.random.default_rng(45)
+    for decay in (0.2, 0.4, 0.6):
+        c = decay ** np.arange(129) + 1e-16 * rng.standard_normal(129)
+        f = ChebFn(c)
+        g = chopped(f)
+        n = chop_length(c)
+        assert n < 129 and g.degree == f.degree
+        assert np.array_equal(g.coeffs[1:n], c[1:n]) and not np.any(g.coeffs[n:])
+        assert abs(g.integrate() - f.integrate()) <= 1e-15, decay
+        assert np.array_equal(chopped(g).coeffs, g.coeffs)
+    # nothing to cut: the function itself comes back
+    h = ChebFn(0.5 ** np.arange(20))
+    assert chopped(h) is h
+    # a caller's own interpolant keeps its rounding tail
+    assert np.any(ChebFn.from_callable(gauss_density, 128).coeffs[-8:])
+
+
+def test_trailing_zeros_keep_numpys_bits():
+    # evaluation and integrate_on stop at the last non-zero coefficient and
+    # still give chebval's bits on the full stored array, zeros included
+    rng = np.random.default_rng(46)
+    xs = [0.0, 1.0, 1.0 / 3.0] + sorted(rng.uniform(0.0, 1.0, 30).tolist())
+    arr = np.array(xs)
+    heads = [[0.0], [0.7], [0.7, -0.2], [0.7, -0.2, 0.1]]
+    heads += [rng.standard_normal(n) * 0.5 ** np.arange(n) for n in (5, 20, 60)]
+    for head in heads:
+        for zeros in (1, 2, 70):
+            c = np.concatenate([head, np.zeros(zeros)])
+            f = ChebFn(c)
+            anti = 0.5 * ncheb.chebint(c)
+            for x in xs:
+                assert f(x) == ncheb.chebval(2.0 * x - 1.0, c), (len(head), zeros, x)
+            assert np.array_equal(f(arr), ncheb.chebval(2.0 * arr - 1.0, c))
+            for lo, hi in zip(xs, xs[1:]):
+                lo, hi = min(lo, hi), max(lo, hi)
+                want = ncheb.chebval(2.0 * hi - 1.0, anti) - ncheb.chebval(2.0 * lo - 1.0, anti)
+                assert f.integrate_on(lo, hi) == float(want), (len(head), zeros, lo, hi)
 
 
 def test_integrate_on_memo_is_bounded():

@@ -13,10 +13,14 @@ from gaussrenyi import (
     ChebFn,
     ConvergenceError,
     DensityHistogram,
+    DigitCell,
     DigitLaw,
     EmpiricalLaw,
+    LasotaYorkeBounds,
     MapKind,
     OperatorMatrix,
+    PerturbationSeries,
+    SimConfig,
     TailBoundWarning,
     annealed,
     apply_transfer,
@@ -288,6 +292,30 @@ def test_records_copy_the_callers_array():
         assert np.array_equal(kept, before)
 
 
+def test_records_compare_and_hash():
+    # a record that holds an array or a ChebFn compares and hashes by
+    # identity, as ChebFn does; a record of scalars compares by value
+    by_identity = [
+        lambda: ChebFn(np.ones(3)),
+        lambda: OperatorMatrix(np.eye(9)),
+        lambda: DigitLaw(0.1, 3, np.full(5, 0.2), 0.0),
+        lambda: EmpiricalLaw(np.arange(5, dtype=np.int64), 0),
+        lambda: DensityHistogram(np.full(4, 0.25)),
+        lambda: PerturbationSeries(ChebFn(np.ones(3)), (), 0),
+    ]
+    for make in by_identity:
+        a, b = make(), make()
+        assert a == a and a != b and hash(a) == object.__hash__(a), type(a).__name__
+    by_value = [
+        lambda: DigitCell(0, 1, 0.25, 0.5),
+        lambda: SimConfig(0.1, 10, seed=3),
+        lambda: LasotaYorkeBounds(2, 0.5, 1.5, 0.25),
+    ]
+    for make in by_value:
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b), type(a).__name__
+
+
 def test_kept_arrays_are_read_only():
     # the basis caches, the collocation cache, the node values and the
     # module constants are read-only, like the records
@@ -379,6 +407,40 @@ def test_invariant_density_degree512():
                 assert abs(h(0.0) - expected[eps]) < 1e-6, eps
 
 
+@pytest.mark.parametrize("degree, limit", [(128, 1e-14), (512, 5e-14)])
+def test_solved_density_keeps_no_rounding_tail(degree, limit):
+    # the solve's rounding tail is cut, so the computed Gauss density sits
+    # within a few ulps of the closed form; unchopped it read 2.7e-14 at
+    # degree 128 and 1.7e-13 at 512, growing with the degree
+    h = invariant_density(assemble_operator(MapKind.GAUSS, degree))
+    x = funcspace.SUP_GRID
+    assert np.max(np.abs(h(x) - 1.0 / ((1.0 + x) * LN2))) < limit
+
+
+@pytest.mark.parametrize("degree", [32, 128, 512])
+def test_chop_keeps_mass_and_mean_and_settles(degree):
+    # the cut tail's integral moves onto c_0: a density keeps the mass of
+    # its solve and a series coefficient its zero mean, and a solved
+    # function chopped again is unchanged
+    m0, m1 = (assemble_operator(kind, degree) for kind in (MapKind.GAUSS, MapKind.RENYI))
+    n = degree + 1
+    rhs = np.append(np.zeros(n), 1.0)
+    for eps in (0.0, 0.3, 0.6, 0.8):
+        m = annealed(eps, m0, m1)
+        h = invariant_density(m)
+        solved = ChebFn.from_values(np.linalg.solve(transfer._bordered_matrix(m), rhs)[:n])
+        assert abs(h.integrate() - solved.integrate()) <= 1e-15, eps
+        assert abs(h.integrate() - 1.0) <= 1e-15, eps
+        assert np.array_equal(funcspace.chopped(h).coeffs, h.coeffs), eps
+    series = mixture_series(invariant_density(m0), m0, m1, 20)
+    for k, c in enumerate(series.coeffs, 1):
+        assert abs(c.integrate()) <= 1e-15, k
+        assert np.array_equal(funcspace.chopped(c).coeffs, c.coeffs), k
+    # at degree 32 the chop does not always find a plateau; above it, every one is cut
+    if degree > 32:
+        assert all(c.coeffs[-1] == 0.0 for c in (h, *series.coeffs))
+
+
 def test_invariant_density_warns_outside_admissible(ops32):
     m = annealed(0.85, *ops32)
     with pytest.warns(UserWarning, match="admissible"):
@@ -395,8 +457,8 @@ def test_invariant_density_rejects_pure_renyi(ops32):
 
 @pytest.mark.parametrize("degree", [32, 128])
 def test_negativity_decided_by_the_grid(degree, ops32, ops128):
-    # the coefficient certificate only skips the grid sum: a density is
-    # returned exactly when it stays above -1e-10 on SUP_GRID
+    # the coefficient certificate only skips the grid sum: the chopped
+    # density is returned exactly when it stays above -1e-10 on SUP_GRID
     m0, m1 = ops32 if degree == 32 else ops128
     n = degree + 1
     rhs = np.append(np.zeros(n), 1.0)
@@ -404,7 +466,8 @@ def test_negativity_decided_by_the_grid(degree, ops32, ops128):
         warnings.simplefilter("ignore", UserWarning)  # eps above eps_max(2)
         for eps in (0.0, 0.3, 0.6, 0.8, 0.85, 0.9, 0.95, 0.99, 1.0):
             m = annealed(eps, m0, m1)
-            solved = ChebFn.from_values(np.linalg.solve(transfer._bordered_matrix(m), rhs)[:n])
+            v = np.linalg.solve(transfer._bordered_matrix(m), rhs)[:n]
+            solved = funcspace.chopped(ChebFn.from_values(v))
             grid_min = float(np.min(solved(funcspace.SUP_GRID)))
             if grid_min >= -1e-10:
                 assert np.array_equal(invariant_density(m).coeffs, solved.coeffs), eps
@@ -556,12 +619,9 @@ def test_bordered_inverse_is_private_to_its_record():
     a, b = assemble_operator(MapKind.GAUSS, 32), assemble_operator(MapKind.GAUSS, 32)
     _solved(a)
     assert a._bordered_inv is not None and b._bordered_inv is None
-    # the memo takes no part in equality or repr
-    small = [OperatorMatrix([[0.5]]), OperatorMatrix([[0.5]])]
-    resolvent_solve(small[0], ChebFn([0.0]))
-    assert small[0]._bordered_inv is not None and small[1]._bordered_inv is None
-    assert small[0] == small[1] and repr(small[0]) == repr(small[1])
-    assert "_bordered_inv" not in repr(small[0])
+    # the memo takes no part in repr, and equality is identity
+    assert a == a and a != b and hash(a) == object.__hash__(a)
+    assert repr(a) == repr(b) and "_bordered_inv" not in repr(a)
 
 
 def test_resolvent_rejects_singular_system():
@@ -572,14 +632,16 @@ def test_resolvent_rejects_singular_system():
 @pytest.mark.parametrize("degree", [32, 512])
 def test_stored_inverse_agrees_with_solve(degree):
     # the stored inverse answers what a fresh solve of the bordered system
-    # does, and its refinement step keeps the mean as small as the solve's
+    # does, both chopped, and its refinement step keeps the mean as small
+    # as the solve's
     m0, m1 = (assemble_operator(kind, degree) for kind in (MapKind.GAUSS, MapKind.RENYI))
     B = transfer._bordered_matrix(m0)
     g = mixture_forcing_terms(invariant_density(m0), m1, 1)[0]
     for _ in range(2):  # the first solve inverts, the second reads the memo
         u = resolvent_solve(m0, g)
-        want = np.linalg.solve(B, np.append(g.values, 0.0))[:-1]
-        assert np.max(np.abs(u.values - want)) < 1e-13
+        direct = np.linalg.solve(B, np.append(g.values, 0.0))[:-1]
+        want = funcspace.chopped(ChebFn.from_values(direct))
+        assert np.max(np.abs(u.values - want.values)) < 1e-13
         assert abs(u.integrate()) < 2e-16
         g = ChebFn.from_values((m1.entries - m0.entries) @ u.values)
 
