@@ -30,9 +30,10 @@ the digit cells that share their ends, sums F once per distinct end.
 
 All objects are immutable values; every operation returns a new
 function.  Every array kept here, the coefficients, the node values, the
-cached basis matrices and the sup-norm grid :data:`SUP_GRID`, is a
-read-only copy from :func:`~gaussrenyi.maps.frozen_copy`.  This makes
-concurrent read access safe without locking.
+cached basis matrices, the chop plans and the sup-norm grid
+:data:`SUP_GRID`, is a read-only copy from
+:func:`~gaussrenyi.maps.frozen_copy`.  This makes concurrent read access
+safe without locking.
 """
 
 from __future__ import annotations
@@ -125,13 +126,28 @@ def _clenshaw(r, x):
     return c0 + c1 * x
 
 
+@lru_cache(maxsize=32)
+def _plateau_plan(n):
+    """Read-only index pairs (j - 1, j2 - 1) of the plateau test on n coefficients.
+
+    The test runs at every 1-based j = 2..n whose partner
+    j2 = floor(1.25 j + 5.5) lies in range.
+    """
+    j = np.arange(2, n + 1)
+    j2 = np.floor(1.25 * j + 5.5).astype(int)
+    keep = j2 <= n
+    return frozen_copy(j[keep] - 1, dtype=int), frozen_copy(j2[keep] - 1, dtype=int)
+
+
 def chop_length(coeffs):
     """Length of ``coeffs`` kept by standardChop at tolerance 2^-52.
 
     Aurentz & Trefethen, *Chopping a Chebyshev series*, ACM TOMS 43(4),
     2017: the envelope of |c_k| is scanned for a plateau, and the
     series is cut where the envelope plus a small linear bias is
-    smallest.  Without a plateau the full length is returned.
+    smallest.  Without a plateau the full length is returned.  The index
+    pairs of the plateau test depend on the length alone and are cached
+    per length, read-only.
     """
     tol = 2.0**-52
     n = len(coeffs)
@@ -141,16 +157,13 @@ def chop_length(coeffs):
     if env[0] == 0.0:
         return 1
     env = env / env[0]
-    # the plateau test at every 1-based j = 2..n whose partner j2 lies in range
-    j = np.arange(2, n + 1)
-    j2 = np.floor(1.25 * j + 5.5).astype(int)
-    j, j2 = j[j2 <= n], j2[j2 <= n]
-    e1, e2 = env[j - 1], env[j2 - 1]
+    i1, i2 = _plateau_plan(n)
+    e1, e2 = env[i1], env[i2]
     with np.errstate(divide="ignore", invalid="ignore"):
         hit = (e1 == 0.0) | (e2 / e1 > 3.0 * (1.0 - np.log(e1) / math.log(tol)))
     if not hit.any():
         return n
-    j2 = int(j2[np.argmax(hit)])  # the plateau starts at j - 1 of the first hit
+    j2 = int(i2[np.argmax(hit)]) + 1  # the plateau starts at j - 1 of the first hit
     j3 = int(np.sum(env >= tol ** (7.0 / 6.0)))
     if j3 < j2:
         j2 = j3 + 1

@@ -195,6 +195,50 @@ def test_chop_length_matches_the_loop():
     assert any(new == n for new, _, n in cuts) and any(new < n for new, _, n in cuts)
 
 
+def _chop_length_unplanned(coeffs):
+    # chop_length with its plateau-test indices built on every call, kept as
+    # the oracle of the cached plan
+    tol = 2.0**-52
+    n = len(coeffs)
+    if n < 17:
+        return n
+    env = np.maximum.accumulate(np.abs(np.asarray(coeffs, dtype=float))[::-1])[::-1]
+    if env[0] == 0.0:
+        return 1
+    env = env / env[0]
+    j = np.arange(2, n + 1)
+    j2 = np.floor(1.25 * j + 5.5).astype(int)
+    j, j2 = j[j2 <= n], j2[j2 <= n]
+    e1, e2 = env[j - 1], env[j2 - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hit = (e1 == 0.0) | (e2 / e1 > 3.0 * (1.0 - np.log(e1) / math.log(tol)))
+    if not hit.any():
+        return n
+    j2 = int(j2[np.argmax(hit)])
+    j3 = int(np.sum(env >= tol ** (7.0 / 6.0)))
+    if j3 < j2:
+        j2 = j3 + 1
+        env[j2 - 1] = tol ** (7.0 / 6.0)
+    cc = np.log10(env[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(cc)), 1)
+
+
+def test_chop_length_matches_the_unplanned_indices():
+    # 20,000 seeded series, chopped ones with their trailing zeros included,
+    # at lengths 1 to 600: the cached plan cuts each where the per-call indices do
+    rng = np.random.default_rng(27)
+    family = []
+    while len(family) < 20_000:
+        n = int(rng.integers(1, 601))
+        k = np.arange(n)
+        decay = rng.uniform(0.05, 0.98) ** k
+        c = decay + 10.0 ** rng.uniform(-18, -10) * rng.standard_normal(n)
+        family += [c, chopped(ChebFn(c)).coeffs, rng.standard_normal(n),
+                   rng.uniform(1e-3, 0.2) ** k]
+    mismatches = [len(c) for c in family if chop_length(c) != _chop_length_unplanned(c)]
+    assert mismatches == []
+
+
 def test_chopped_zeroes_the_tail_and_keeps_the_integral():
     # geometric decay onto a noise plateau: the noise is cut, its exact
     # integral moves onto c_0, and the degree stays

@@ -233,6 +233,24 @@ def test_at_memo_is_not_reused_at_another_weight(series3):
     assert s.at(0.3).coeffs.tobytes() != got.coeffs.tobytes()
 
 
+def test_at_sums_like_linear_combo():
+    # the weighted column sum over the zero-padded stack adds the terms in
+    # linear_combo's order from zero: the same bits, mixed degrees included
+    rng = np.random.default_rng(27)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # eps above eps_max(2)
+        for order in range(1, 21):
+            degrees = rng.choice([32, 64, 128, 256, 512], size=order + 1)
+            if order % 2:
+                degrees[:] = degrees[0]
+            parts = [random_smooth_fn(rng, int(d), rng.uniform(0.3, 0.95)) for d in degrees]
+            s = PerturbationSeries(parts[0], tuple(parts[1:]), order)
+            for eps in [0.0, 1.0, *rng.uniform(0.0, 1.0, 5)]:
+                want = linear_combo([(1.0, parts[0])]
+                                    + [(eps**n, c) for n, c in enumerate(parts[1:], start=1)])
+                assert s.at(eps).coeffs.tobytes() == want.coeffs.tobytes(), (order, eps)
+
+
 def test_at_memo_keeps_the_weight_check(series3):
     s = PerturbationSeries(series3.h0, series3.coeffs, 3)
     h = s.at(0.1)

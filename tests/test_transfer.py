@@ -153,6 +153,34 @@ def test_tail_error_bound_ignores_rounding_noise():
         assert abs(tail_error_bound(noisy) / exact - 1.0) < 1e-5, degree
 
 
+def _tail_error_bound_jets(f, a_max):
+    # the Markov jets rebuilt on every call, kept as the oracle of tail_error_bound
+    c = np.abs(f.coeffs[: funcspace.chop_length(f.coeffs)])
+    k = np.arange(len(c))
+    jet = np.ones(len(c))
+    s = np.empty(7)
+    for i in range(7):
+        s[i] = c @ jet
+        jet = 2.0 * jet * (k * k - i * i) / (2 * i + 1)
+    A = a_max + 1.0
+    i = np.arange(1, 7)
+    moments = s[1:] / A**2 + 2 * i * s[:-1] / A + i * (i - 1) * np.append(0.0, s[:-2])
+    return float(np.sum(transfer._LAH_6 * A ** -(5.0 + i) / (5 + i) * moments)) / 15120
+
+
+def test_tail_error_bound_matches_the_per_call_jets(ops128, h0_128):
+    # the cached jet rows give the bits of the per-call recurrence on h0,
+    # c_1..c_20 and the fixed densities at 20 weights, low band and edge
+    m0, m1 = ops128
+    fns = [h0_128, *mixture_series(h0_128, m0, m1, 20).coeffs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # eps above eps_max(2)
+        fns += [invariant_density(annealed(eps, m0, m1)) for eps in np.linspace(0.0, 0.99, 20)]
+    for f in fns:
+        for a_max in (8, 64, transfer.DEFAULT_A_MAX):
+            assert tail_error_bound(f, a_max) == _tail_error_bound_jets(f, a_max)
+
+
 def test_tail_bound_warning():
     rough = ChebFn.from_callable(lambda x: math.cos(40 * math.pi * x), 128)
     with pytest.warns(TailBoundWarning):
@@ -317,8 +345,8 @@ def test_records_compare_and_hash():
 
 
 def test_kept_arrays_are_read_only():
-    # the basis caches, the collocation cache, the node values and the
-    # module constants are read-only, like the records
+    # the basis caches, the collocation cache, the chop plans, the jet rows,
+    # the node values and the module constants are read-only, like the records
     kept = [
         funcspace.values_to_coeffs_matrix(16),
         funcspace.coeffs_to_values_matrix(16),
@@ -328,7 +356,11 @@ def test_kept_arrays_are_read_only():
         ChebFn.constant(1.0, 16).values,
         funcspace.SUP_GRID,
         transfer._LAH_6,
+        transfer._markov_jets(17),
+        transfer._SUP_T,
+        *funcspace._plateau_plan(40),
         _solved(assemble_operator(MapKind.GAUSS, 16))._bordered_inv,
+        PerturbationSeries(ChebFn(np.ones(3)), (ChebFn(np.ones(2)),), 1)._stack,
     ]
     assert [a.flags.writeable for a in kept] == [False] * len(kept)
 
@@ -491,7 +523,8 @@ def grid_calls(monkeypatch):
 
 
 def test_certificate_skips_the_grid_sum(grid_calls, ops128):
-    # at eps 0.1 the coefficients certify positivity; at 0.99 the grid decides
+    # the coefficients certify positivity at eps 0.1 with the head of 8 and
+    # at eps 0.99 with the head of 64: minimum 0.240 against a tail of 0.014
     counts = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # eps above eps_max(2)
@@ -499,21 +532,32 @@ def test_certificate_skips_the_grid_sum(grid_calls, ops128):
             grid_calls.clear()
             invariant_density(annealed(eps, *ops128))
             counts.append(sum(grid_calls))
-    assert counts == [0, 1]
+    assert counts == [0, 0]
 
 
-@pytest.mark.parametrize("tail, accepted, grid_sums", [
-    ({8: 0.5}, True, 0),  # h >= 1 - 0.5: certified
-    ({8: 0.55, 16: 0.55}, True, 1),  # h >= 1 - 1.125 * 0.55, but the tail sums to 1.1
-    ({8: -2.0}, False, 1),  # a head of 1, yet h dips to -1
+@pytest.mark.parametrize("degree, tail, accepted, grid_sums", [
+    pytest.param(16, {8: 0.5}, True, 0, id="tail0-True-0"),  # h >= 1 - 0.5: certified
+    # h >= 1 - 1.125 * 0.55, but the tail sums to 1.1
+    pytest.param(16, {8: 0.55, 16: 0.55}, True, 1, id="tail1-True-1"),
+    pytest.param(16, {8: -2.0}, False, 1, id="tail2-False-1"),  # a head of 1, yet h dips to -1
+    # 1 - 0.9 T_1 has minimum 0.1, below the tail 0.3 of the pair beyond it; the
+    # pair is small where T_1 is near 1, so only the head of 32 or 64 certifies
+    pytest.param(64, {1: -0.9, 19: 0.15, 21: -0.15}, True, 0, id="head32-certifies"),
+    pytest.param(128, {1: -0.9, 39: 0.15, 41: -0.15}, True, 0, id="head64-certifies"),
+    # the head of 64 is chosen (tail 0.12 <= 1/8), has minimum 0.069, below
+    # its tail, and h stays above 0.033: the grid decides and accepts
+    pytest.param(128, {1: -0.9, 39: 0.12, 41: -0.12, 69: 0.06, 71: -0.06}, True, 1,
+                 id="head64-grid-accepts"),
+    # the head of 64 is h itself, and h dips to -1
+    pytest.param(128, {40: -2.0}, False, 1, id="head64-grid-refuses"),
 ])
-def test_certificate_is_sound(grid_calls, tail, accepted, grid_sums):
+def test_certificate_is_sound(grid_calls, degree, tail, accepted, grid_sums):
     # M = v q^T has the unit-mass fixed density v, here h = T_0 + sum_k tail[k] T_k scaled
-    c = np.zeros(17)
+    c = np.zeros(degree + 1)
     c[0] = 1.0
     c[list(tail)] = list(tail.values())
     h = ChebFn(c)
-    m = OperatorMatrix(np.outer(h.values / h.integrate(), quadrature_weights(16)))
+    m = OperatorMatrix(np.outer(h.values / h.integrate(), quadrature_weights(degree)))
     if accepted:
         assert np.allclose(invariant_density(m).coeffs, c / h.integrate(), rtol=0, atol=1e-14)
     else:
