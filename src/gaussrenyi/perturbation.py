@@ -29,7 +29,7 @@ import numpy as np
 
 from .bounds import warn_if_inadmissible
 from .funcspace import ChebFn, linear_combo
-from .maps import check_count, check_degree, frozen_copy
+from .maps import check_count, check_degree
 from .transfer import _MEAN_LIMIT, _warn_outside_unit, resolvent_solve
 
 
@@ -45,19 +45,12 @@ class PerturbationSeries:
     order: int
     # (float(eps), h_eps) of the last evaluation, replaced as one tuple
     _last: tuple = field(default=None, init=False, repr=False)
-    # read-only rows h0, c_1..c_k, zero-padded to the highest degree
-    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.coeffs) != self.order:
             raise ValueError(
                 f"order {self.order} does not match {len(self.coeffs)} coefficients"
             )
-        parts = (self.h0, *self.coeffs)
-        stack = np.zeros((len(parts), max(f.degree for f in parts) + 1))
-        for row, f in zip(stack, parts):
-            row[: f.degree + 1] = f.coeffs
-        object.__setattr__(self, "_stack", frozen_copy(stack))
 
     def at(self, eps):
         """Evaluate the truncated expansion at a mixture weight eps.
@@ -68,9 +61,6 @@ class PerturbationSeries:
         :class:`ChebFn`.  The memo is swapped as one tuple, so concurrent
         readers see either the old pair or the new one, and it takes no
         part in ``repr``.  An inadmissible eps warns once per h_eps built.
-        The sum is one weighted column sum over the zero-padded rows of h0
-        and c_1..c_k, added row by row from zero: the bits of
-        :func:`~gaussrenyi.funcspace.linear_combo` on the same terms.
         """
         if not eps >= 0.0:  # also catches NaN
             raise ValueError(f"mixture weight must be at least 0: {eps!r}")
@@ -79,8 +69,9 @@ class PerturbationSeries:
         if last is not None and last[0] == eps:
             return last[1]
         warn_if_inadmissible(eps)
-        weights = np.array([1.0] + [eps ** n for n in range(1, self.order + 1)])
-        h = ChebFn(np.add.reduce(weights[:, None] * self._stack, axis=0, initial=0.0))
+        terms = [(1.0, self.h0)]
+        terms += [(eps ** (n + 1), c) for n, c in enumerate(self.coeffs)]
+        h = linear_combo(terms)
         object.__setattr__(self, "_last", (eps, h))
         return h
 

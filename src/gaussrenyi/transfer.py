@@ -249,15 +249,10 @@ def annealed(eps, m0, m1):
 
 
 def _bordered_matrix(m):
-    """The bordered matrix [[I - M, 1], [q, 0]] for the quadrature row q.
-
-    I - M is written as 0 - M plus 1 on the diagonal: the same bits, a
-    zero entry of M included, without an identity matrix.
-    """
+    """The bordered matrix [[I - M, 1], [q, 0]] for the quadrature row q."""
     n = m.degree + 1
     B = np.zeros((n + 1, n + 1))
-    np.subtract(0.0, m.entries, out=B[:n, :n])
-    B.reshape(-1)[: n * (n + 2) : n + 2] += 1.0  # the first n diagonal entries
+    B[:n, :n] = np.eye(n) - m.entries
     B[:n, n] = 1.0
     B[n, :n] = quadrature_weights(m.degree)
     return B

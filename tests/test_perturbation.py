@@ -234,8 +234,8 @@ def test_at_memo_is_not_reused_at_another_weight(series3):
 
 
 def test_at_sums_like_linear_combo():
-    # the weighted column sum over the zero-padded stack adds the terms in
-    # linear_combo's order from zero: the same bits, mixed degrees included
+    # at sums h0 + sum_n eps^n c_n with the bits of linear_combo on the
+    # same terms, mixed degrees included
     rng = np.random.default_rng(27)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # eps above eps_max(2)

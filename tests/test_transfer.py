@@ -360,7 +360,6 @@ def test_kept_arrays_are_read_only():
         transfer._SUP_T,
         *funcspace._plateau_plan(40),
         _solved(assemble_operator(MapKind.GAUSS, 16))._bordered_inv,
-        PerturbationSeries(ChebFn(np.ones(3)), (ChebFn(np.ones(2)),), 1)._stack,
     ]
     assert [a.flags.writeable for a in kept] == [False] * len(kept)
 
