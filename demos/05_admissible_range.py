@@ -29,7 +29,7 @@ worst = max(
 print(f"\nsup_x of the truncated two-step sum at i = {i}: {worst:.6f} < theta = {b.theta:.6f}")
 
 spot = sum(
-    two_step_derivative(0, 0, n, k, 0.5, 1) ** i
+    two_step_derivative(0, 0, n, k, 0.5) ** i
     for n in range(1, 60)
     for k in range(1, 60)
 )

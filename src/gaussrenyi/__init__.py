@@ -14,7 +14,6 @@ from .bounds import (
     LasotaYorkeBounds,
     c_bound,
     eps_max,
-    even_zeta,
     hurwitz_zeta,
     lasota_yorke_bounds,
     theta_bound,
@@ -34,11 +33,10 @@ from .funcspace import (
     ChebFn,
     chebyshev_nodes,
     linear_combo,
-    norm_cl,
     norm_sup,
     quadrature_weights,
 )
-from .maps import MapKind, branch_derivative, forward, inverse_branch, two_step_derivative
+from .maps import MapKind, forward, two_step_derivative
 from .perturbation import (
     PerturbationSeries,
     density_derivative,
@@ -90,7 +88,6 @@ __all__ = [
     "annealed",
     "apply_transfer",
     "assemble_operator",
-    "branch_derivative",
     "brute_force_transfer",
     "c_bound",
     "chebyshev_nodes",
@@ -101,18 +98,15 @@ __all__ = [
     "digit_probability",
     "empirical_density",
     "eps_max",
-    "even_zeta",
     "forward",
     "gauss_kuzmin",
     "gauss_kuzmin_tail",
     "hurwitz_zeta",
     "invariant_density",
-    "inverse_branch",
     "lasota_yorke_bounds",
     "linear_combo",
     "mixture_forcing_terms",
     "mixture_series",
-    "norm_cl",
     "norm_sup",
     "quadrature_weights",
     "resolvent_solve",

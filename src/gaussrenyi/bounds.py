@@ -1,7 +1,7 @@
 """Lasota-Yorke contraction constants for the two-step branch sums.
 
-For smoothness index i >= 2 the sum of i-th powers of two-step branch
-derivatives is bounded by
+For smoothness index i >= 2 the sum of i-th powers of the first
+derivatives of the two-step branches is bounded by
 
     theta = zeta(2i)^2 - (1 - 2^(-2i))      (Gauss-Gauss pairs)
     c     = zeta(2i)^2                      (Renyi-Renyi pairs)
@@ -64,24 +64,16 @@ def hurwitz_zeta(s, q):
     return float(out) if np.isscalar(q) else out
 
 
-def even_zeta(n):
-    """zeta(n) for even n >= 2."""
-    check_count("zeta argument", n, 2)
-    if n % 2 != 0:
-        raise ValueError(f"even integer >= 2 required: {n!r}")
-    return hurwitz_zeta(n, 1.0)
-
-
 def theta_bound(i):
     """Contraction factor zeta(2i)^2 - (1 - 2^(-2i)), in (0, 1) for i >= 2."""
     check_count("smoothness index", i, 2)
-    return even_zeta(2 * i) ** 2 - (1.0 - 0.25**i)
+    return hurwitz_zeta(2 * i, 1.0) ** 2 - (1.0 - 0.25**i)
 
 
 def c_bound(i):
     """Renyi-pair bound zeta(2i)^2, slightly above 1 and decreasing in i."""
     check_count("smoothness index", i, 2)
-    return even_zeta(2 * i) ** 2
+    return hurwitz_zeta(2 * i, 1.0) ** 2
 
 
 def eps_max(i):

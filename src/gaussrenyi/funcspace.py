@@ -12,8 +12,8 @@ the degree stays.  At the default degree 128 the Gauss density keeps
 and 0.8 and all 129 from eps 0.9 on, and the series coefficients
 c_1..c_20 keep 27 to 83.  A function built by a caller keeps every
 coefficient it was given.
-Evaluation uses the Clenshaw recurrence, integration and
-differentiation act exactly on the coefficient space.  Evaluation and
+Evaluation uses the Clenshaw recurrence, and integration acts exactly
+on the coefficient space.  Evaluation and
 :meth:`ChebFn.integrate_on` run the recurrence with the coefficients as
 Python floats, in numpy's order of operations, so they give numpy's
 ``chebval`` bits; a scalar argument costs only its arithmetic.  Each
@@ -164,10 +164,11 @@ def chop_length(coeffs):
     if not hit.any():
         return n
     j2 = int(i2[np.argmax(hit)]) + 1  # the plateau starts at j - 1 of the first hit
-    j3 = int(np.sum(env >= tol ** (7.0 / 6.0)))
+    level = tol ** (7.0 / 6.0)
+    j3 = np.count_nonzero(env >= level)
     if j3 < j2:
         j2 = j3 + 1
-        env[j2 - 1] = tol ** (7.0 / 6.0)
+        env[j2 - 1] = level
     cc = np.log10(env[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
     return max(int(np.argmin(cc)), 1)
 
@@ -270,10 +271,6 @@ class ChebFn:
         F = self._anti
         return float(F(hi) - F(lo))
 
-    def derivative(self):
-        """d/dx as a new ChebFn of degree max(degree - 1, 0)."""
-        return ChebFn(2.0 * ncheb.chebder(self._coeffs))
-
     # small amount of arithmetic keeps perturbation code readable
     def __add__(self, other):
         if not isinstance(other, ChebFn):
@@ -335,15 +332,3 @@ def norm_sup(f):
     """Sup norm estimated on the uniform grid :data:`SUP_GRID` of 2049 points."""
     return float(np.max(np.abs(f(SUP_GRID))))
 
-
-def norm_cl(f, l):
-    """C^l norm: sum of sup norms of derivatives of order 0..l."""
-    check_count("derivative order", l, 0)
-    if l > f.degree:
-        raise ValueError(f"order {l} exceeds representation degree {f.degree}")
-    total = 0.0
-    g = f
-    for _ in range(l + 1):
-        total += norm_sup(g)
-        g = g.derivative()
-    return total

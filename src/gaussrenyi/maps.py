@@ -1,4 +1,4 @@
-"""The Gauss and Renyi interval maps and their inverse branches.
+"""The Gauss and Renyi interval maps.
 
 The Gauss map T0(x) = 1/x - floor(1/x) generates regular continued
 fraction digits; the Renyi map T1(x) = 1/(1-x) - floor(1/(1-x)) is its
@@ -125,31 +125,13 @@ def forward(kind, x):
     return float(image), int(digit) if math.isfinite(digit) else 0
 
 
-def inverse_branch(kind, a, y):
-    """Inverse of the a-th branch: 1/(a+y) for Gauss, 1 - 1/(a+y) for Renyi."""
-    check_count("branch digit", a, 1)
-    check_unit("y", y)
-    check_kind(kind)
-    if kind is MapKind.GAUSS:
-        return 1.0 / (a + y)
-    return 1.0 - 1.0 / (a + y)
-
-
-def branch_derivative(kind, a, y):
-    """|V'| of the a-th inverse branch, 1/(a+y)^2 for both map kinds."""
-    check_count("branch digit", a, 1)
-    check_unit("y", y)
-    check_kind(kind)
-    return 1.0 / (a + y) ** 2
-
-
-def two_step_derivative(p, q, n, k, x, order=1):
-    """|d^i/dx^i| of the two-step inverse branch V_p,n composed with V_q,k.
+def two_step_derivative(p, q, n, k, x):
+    """|d/dx| of the two-step inverse branch V_p,n composed with V_q,k.
 
     Closed forms for the pure pairs:
 
-        (0, 0):  i! n^(i-1) / (n(k+x) + 1)^(i+1)
-        (1, 1):  i! (n+1)^(i-1) / ((n+1)(k+x) - 1)^(i+1)
+        (0, 0):  1 / (n(k+x) + 1)^2
+        (1, 1):  1 / ((n+1)(k+x) - 1)^2
 
     The mixed pairs differ from these only by sign, (V^(0,0))' =
     -(V^(1,0))' and (V^(1,1))' = -(V^(0,1))', so their magnitudes
@@ -160,10 +142,6 @@ def two_step_derivative(p, q, n, k, x, order=1):
     check_count("branch digit", n, 1)
     check_count("branch digit", k, 1)
     check_unit("x", x)
-    check_count("derivative order", order, 1)
-    i = order
-    fact = math.factorial(i)
     if (p, q) in ((0, 0), (1, 0)):
-        return fact * n ** (i - 1) / (n * (k + x) + 1.0) ** (i + 1)
-    return fact * (n + 1) ** (i - 1) / ((n + 1) * (k + x) - 1.0) ** (i + 1)
-
+        return 1.0 / (n * (k + x) + 1.0) ** 2
+    return 1.0 / ((n + 1) * (k + x) - 1.0) ** 2

@@ -9,7 +9,7 @@ from scipy import special
 from gaussrenyi import (
     c_bound,
     eps_max,
-    even_zeta,
+    hurwitz_zeta,
     lasota_yorke_bounds,
     theta_bound,
     two_step_derivative,
@@ -18,9 +18,7 @@ from gaussrenyi import (
 
 def test_even_zeta_closed_forms():
     for n in range(2, 30, 2):
-        assert abs(even_zeta(n) - special.zeta(n, 1)) < 1e-14
-    with pytest.raises(ValueError):
-        even_zeta(3)
+        assert abs(hurwitz_zeta(n, 1.0) - special.zeta(n, 1)) < 1e-14
 
 
 def test_theta_i2():
@@ -103,7 +101,7 @@ def test_branch_sums_stay_below_theta():
             worst = max(worst, total)
         assert worst <= th + 1e-6
         spot = sum(
-            two_step_derivative(0, 0, n, k, 0.0, 1) ** i
+            two_step_derivative(0, 0, n, k, 0.0) ** i
             for n in range(1, 40)
             for k in range(1, 40)
         )

@@ -1,4 +1,4 @@
-"""Forward maps, inverse branches and branch-derivative formulas."""
+"""Forward maps, the two-step branch derivative and the package-wide rules."""
 
 import math
 import re
@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gaussrenyi
 from gaussrenyi import (
     ChebFn,
     ConvergenceError,
@@ -16,22 +17,18 @@ from gaussrenyi import (
     annealed,
     apply_transfer,
     assemble_operator,
-    branch_derivative,
     c_bound,
     chebyshev_nodes,
     density_derivative,
     digit_cells,
     digit_law,
     empirical_density,
-    even_zeta,
     forward,
     gauss_kuzmin,
     gauss_kuzmin_tail,
     invariant_density,
-    inverse_branch,
     mixture_forcing_terms,
     mixture_series,
-    norm_cl,
     residual,
     resolvent_solve,
     response_table,
@@ -53,14 +50,8 @@ _FLOORS = {
     "digit_law": ("digit cutoff", 1, lambda v: digit_law(0.1, None, v)),
     "chebyshev_nodes": ("degree", 0, chebyshev_nodes),
     "ChebFn.constant": ("degree", 0, lambda v: ChebFn.constant(1.0, v)),
-    "norm_cl": ("derivative order", 0, lambda v: norm_cl(ChebFn.constant(1.0, 4), v)),
-    "inverse_branch": ("branch digit", 1, lambda v: inverse_branch(MapKind.GAUSS, v, 0.5)),
-    "branch_derivative": ("branch digit", 1,
-                          lambda v: branch_derivative(MapKind.RENYI, v, 0.5)),
     "two_step_derivative.n": ("branch digit", 1, lambda v: two_step_derivative(0, 0, v, 1, 0.5)),
     "two_step_derivative.k": ("branch digit", 1, lambda v: two_step_derivative(1, 1, 1, v, 0.5)),
-    "two_step_derivative.order": ("derivative order", 1,
-                                  lambda v: two_step_derivative(0, 1, 1, 1, 0.5, v)),
     "mixture_forcing_terms": ("order", 1, lambda v: mixture_forcing_terms(None, None, v)),
     "response_table": ("order", 1, lambda v: response_table(None, None, None, v)),
     "mixture_series": ("order", 1, lambda v: mixture_series(None, None, None, v)),
@@ -80,7 +71,6 @@ _FLOORS = {
                        lambda v: apply_transfer(MapKind.GAUSS, ChebFn.constant(1.0, 16), v)),
     "theta_bound": ("smoothness index", 2, theta_bound),
     "c_bound": ("smoothness index", 2, c_bound),
-    "even_zeta": ("zeta argument", 2, even_zeta),
 }
 
 
@@ -148,74 +138,46 @@ def test_map_step_bit_identical_to_reference():
         assert d.tobytes() == want_digit.tobytes()
 
 
-def test_inverse_branch_examples():
-    assert inverse_branch(MapKind.GAUSS, 1, 0.0) == 1.0
-    assert abs(inverse_branch(MapKind.RENYI, 2, 0.5) - 0.6) < 1e-15
-    with pytest.raises(ValueError):
-        inverse_branch(MapKind.GAUSS, 0, 0.5)
-
-
 def test_inverse_branch_roundtrip():
-    y, a = forward(MapKind.GAUSS, inverse_branch(MapKind.GAUSS, 7, 0.3))
+    # forward undoes the a-th inverse branch, 1/(a+y) for Gauss and
+    # 1 - 1/(a+y) for Renyi
+    y, a = forward(MapKind.GAUSS, 1.0 / (7 + 0.3))
     assert a == 7 and abs(y - 0.3) < 1e-14
     rng = np.random.default_rng(3)
     for _ in range(50):
         kind = MapKind.GAUSS if rng.random() < 0.5 else MapKind.RENYI
         a = int(rng.integers(1, 40))
         yy = rng.uniform(0.01, 0.99)
-        y_back, a_back = forward(kind, inverse_branch(kind, a, yy))
+        x = 1.0 / (a + yy) if kind is MapKind.GAUSS else 1.0 - 1.0 / (a + yy)
+        y_back, a_back = forward(kind, x)
         assert a_back == a and abs(y_back - yy) < 1e-12
 
 
-def test_branch_derivative_examples():
-    assert branch_derivative(MapKind.GAUSS, 1, 0.0) == 1.0
-    assert branch_derivative(MapKind.GAUSS, 3, 1.0) == 1.0 / 16.0
-    assert branch_derivative(MapKind.RENYI, 2, 0.5) == 1.0 / 6.25
-
-
-def test_branch_derivative_sum_trigamma():
-    # sum_a 1/(a+y)^2 equals trigamma(1+y); brute force the series at y = 0
-    a = np.arange(1, 10**6 + 1, dtype=float)
-    brute = float(np.sum(1.0 / a**2))
-    total = sum(branch_derivative(MapKind.GAUSS, k, 0.0) for k in range(1, 2001))
-    # the brute sum itself is pi^2/6 up to the 1/a_max truncation
-    assert abs(brute - math.pi**2 / 6) < 2e-6
-    assert total < math.pi**2 / 6 < total + 1.0 / 2000
-
-
 def test_two_step_examples():
-    assert two_step_derivative(0, 0, 1, 1, 0.0, 1) == 0.25
-    assert two_step_derivative(1, 1, 1, 1, 0.0, 1) == 1.0
-    assert abs(two_step_derivative(0, 0, 2, 3, 0.5, 2) - 0.0078125) < 1e-18
-    # the order-2 value is the derivative of the order-1 formula
+    assert two_step_derivative(0, 0, 1, 1, 0.0) == 0.25
+    assert two_step_derivative(1, 1, 1, 1, 0.0) == 1.0
+    # its derivative is 2 n / (n(k+x) + 1)^3 = 4 / 8^3 at n, k, x = 2, 3, 0.5
     h = 1e-4
     fd = (
-        -two_step_derivative(0, 0, 2, 3, 0.5 + 2 * h, 1)
-        + 8 * two_step_derivative(0, 0, 2, 3, 0.5 + h, 1)
-        - 8 * two_step_derivative(0, 0, 2, 3, 0.5 - h, 1)
-        + two_step_derivative(0, 0, 2, 3, 0.5 - 2 * h, 1)
+        -two_step_derivative(0, 0, 2, 3, 0.5 + 2 * h)
+        + 8 * two_step_derivative(0, 0, 2, 3, 0.5 + h)
+        - 8 * two_step_derivative(0, 0, 2, 3, 0.5 - h)
+        + two_step_derivative(0, 0, 2, 3, 0.5 - 2 * h)
     ) / (12 * h)
     assert abs(abs(fd) - 0.0078125) < 1e-10
 
 
 def test_two_step_mixed_pairs_match_pure():
     # mixed compositions differ from the pure ones only by sign
-    for order in (1, 2, 3):
-        assert two_step_derivative(1, 0, 4, 2, 0.3, order) == two_step_derivative(
-            0, 0, 4, 2, 0.3, order
-        )
-        assert two_step_derivative(0, 1, 4, 2, 0.3, order) == two_step_derivative(
-            1, 1, 4, 2, 0.3, order
-        )
+    assert two_step_derivative(1, 0, 4, 2, 0.3) == two_step_derivative(0, 0, 4, 2, 0.3)
+    assert two_step_derivative(0, 1, 4, 2, 0.3) == two_step_derivative(1, 1, 4, 2, 0.3)
 
 
 def test_two_step_validation():
     with pytest.raises(ValueError):
-        two_step_derivative(2, 0, 1, 1, 0.0, 1)
+        two_step_derivative(2, 0, 1, 1, 0.0)
     with pytest.raises(ValueError):
-        two_step_derivative(0, 0, 0, 1, 0.0, 1)
-    with pytest.raises(ValueError):
-        two_step_derivative(0, 0, 1, 1, 0.0, 0)
+        two_step_derivative(0, 0, 0, 1, 0.0)
 
 
 @pytest.mark.parametrize("name, low, call", list(_FLOORS.values()), ids=list(_FLOORS))
@@ -226,6 +188,17 @@ def test_count_floors(name, low, call):
     # a count that is not an integer is refused, not rounded or passed on
     with pytest.raises(TypeError):
         call(float(low))
+
+
+def test_public_names_resolve():
+    # every exported name is bound once, and the star import binds exactly them
+    names = gaussrenyi.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(gaussrenyi, name)] == []
+    star = {}
+    exec("from gaussrenyi import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(names)
 
 
 _G64 = ChebFn(np.eye(65)[1])  # T_1 at degree 64, of zero mean
@@ -285,29 +258,10 @@ def test_composition_consistency_finite_difference():
         x = rng.uniform(2 * h, 1 - 2 * h)
 
         def comp(t, n=n, k=k):
-            return inverse_branch(
-                MapKind.GAUSS, n, inverse_branch(MapKind.GAUSS, k, t)
-            )
+            return 1.0 / (n + 1.0 / (k + t))  # the Gauss branches 1/(a+y)
 
         fd = (-comp(x + 2 * h) + 8 * comp(x + h) - 8 * comp(x - h) + comp(x - 2 * h)) / (
             12 * h
         )
-        assert abs(abs(fd) - two_step_derivative(0, 0, n, k, x, 1)) < 1e-12
+        assert abs(abs(fd) - two_step_derivative(0, 0, n, k, x)) < 1e-12
 
-
-def test_branch_monotonicity():
-    ys = np.linspace(0.0, 1.0, 33)
-    for a in (1, 2, 9):
-        gauss = [inverse_branch(MapKind.GAUSS, a, y) for y in ys]
-        renyi = [inverse_branch(MapKind.RENYI, a, y) for y in ys]
-        assert np.all(np.diff(gauss) < 0)
-        assert np.all(np.diff(renyi) > 0)
-
-
-def test_branch_images_tile():
-    for a in range(1, 200):
-        lo = inverse_branch(MapKind.GAUSS, a, 1.0)
-        hi = inverse_branch(MapKind.GAUSS, a, 0.0)
-        assert lo == 1.0 / (a + 1) and hi == 1.0 / a
-        # the next branch image starts exactly where this one ends
-        assert inverse_branch(MapKind.GAUSS, a + 1, 0.0) == lo
