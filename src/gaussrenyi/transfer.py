@@ -165,6 +165,15 @@ def _markov_jets(n):
     return frozen_copy(jets)
 
 
+@lru_cache(maxsize=16)
+def _tail_weights(a_max):
+    """Read-only rows L(6, i) A^-(5+i)/(5+i), 2i and i(i-1), i = 1..6, A = a_max + 1."""
+    A = a_max + 1.0
+    i = np.arange(1, 7)
+    return (frozen_copy(_LAH_6 * A ** -(5.0 + i) / (5 + i)), frozen_copy(2 * i, dtype=int),
+            frozen_copy(i * (i - 1), dtype=int))
+
+
 def tail_error_bound(f, a_max=DEFAULT_A_MAX):
     """Euler-Maclaurin remainder bound of the tail beyond a_max for the resolved part of f.
 
@@ -177,16 +186,18 @@ def tail_error_bound(f, a_max=DEFAULT_A_MAX):
     (:func:`chop_length`): rounding noise, which the majorants amplify like
     k^(2i), stays out.  For the Gauss density s_i = i!/ln 2 exactly.  The
     seven jet rows T_k^(i)(1) are cached per coefficient length as one
-    read-only (7, degree + 1) array; the sums read their first terms.
+    read-only (7, degree + 1) array; the sums read their first terms.  The
+    rows of i that depend on a_max alone are cached per a_max.
     a_max, at least 8 as in :func:`assemble_operator`, is checked before f is read.
     """
     check_count("a_max", a_max, 8)
     c = np.abs(f.coeffs[: chop_length(f.coeffs)])
-    s = np.array([c @ jet for jet in _markov_jets(len(f.coeffs))[:, : len(c)]])
+    # s[0] = 0 stands for s_(-1), which only i(i-1) = 0 multiplies
+    s = np.array([0.0] + [c @ jet for jet in _markov_jets(len(f.coeffs))[:, : len(c)]])
     A = a_max + 1.0
-    i = np.arange(1, 7)
-    moments = s[1:] / A**2 + 2 * i * s[:-1] / A + i * (i - 1) * np.append(0.0, s[:-2])
-    return float(np.sum(_LAH_6 * A ** -(5.0 + i) / (5 + i) * moments)) / 15120
+    weight, two_i, i_i1 = _tail_weights(a_max)
+    moments = s[2:] / A**2 + two_i * s[1:-1] / A + i_i1 * s[:-2]
+    return float(np.sum(weight * moments)) / 15120
 
 
 def apply_transfer(kind, f, a_max=DEFAULT_A_MAX):
@@ -244,7 +255,8 @@ def annealed(eps, m0, m1):
     """Convex mixture (1 - eps) m0 + eps m1 of two operator matrices."""
     check_degree(m0, m1)
     _warn_outside_unit(eps)
-    entries = (1.0 - eps) * m0.entries + eps * m1.entries
+    entries = np.multiply(m0.entries, 1.0 - eps)
+    entries += eps * m1.entries
     return OperatorMatrix(entries, eps=float(eps))
 
 

@@ -8,7 +8,7 @@ import numpy.polynomial.chebyshev as ncheb
 import pytest
 
 from gaussrenyi import ChebFn, chebyshev_nodes, linear_combo, norm_sup
-from gaussrenyi.funcspace import chop_length, chopped
+from gaussrenyi.funcspace import SUP_GRID, _clenshaw, chop_length, chopped
 
 from conftest import random_smooth_fn
 
@@ -279,6 +279,28 @@ def test_trailing_zeros_keep_numpys_bits():
                 lo, hi = min(lo, hi), max(lo, hi)
                 want = ncheb.chebval(2.0 * hi - 1.0, anti) - ncheb.chebval(2.0 * lo - 1.0, anti)
                 assert f.integrate_on(lo, hi) == float(want), (len(head), zeros, lo, hi)
+
+
+def test_array_clenshaw_owns_its_result():
+    # the array sums run in buffers made by each call: chebval's bits, and a
+    # writeable result that shares memory with neither the input nor the
+    # result of another call, while the input stays as it was
+    rng = np.random.default_rng(47)
+    xs = rng.uniform(0.0, 1.0, 104)
+    inputs = [xs, xs[:52].reshape(4, 13), xs[:0], xs[::2], SUP_GRID]
+    for n in (1, 2, 3, 8, 9, 20, 129):
+        c = rng.standard_normal(n)
+        f, r = ChebFn(c), c[::-1].tolist()
+        for x in inputs:
+            before = x.copy()
+            # the sum itself on t = x, and the function at x, on t = 2x - 1
+            for t, evaluate in ((x, lambda a: _clenshaw(r, a)), (2.0 * x - 1.0, f)):
+                got, again = evaluate(x), evaluate(x)
+                want = ncheb.chebval(t, c)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, x.shape)
+                assert got.flags.writeable
+                assert not np.shares_memory(got, x) and not np.shares_memory(got, again)
+            assert x.tobytes() == before.tobytes()
 
 
 def test_integrate_on_memo_is_bounded():

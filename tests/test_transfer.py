@@ -345,8 +345,9 @@ def test_records_compare_and_hash():
 
 
 def test_kept_arrays_are_read_only():
-    # the basis caches, the collocation cache, the chop plans, the jet rows,
-    # the node values and the module constants are read-only, like the records
+    # the basis caches, the collocation cache, the chop plans and ramps, the
+    # jet rows, the tail weights, the node values and the module constants
+    # are read-only, like the records
     kept = [
         funcspace.values_to_coeffs_matrix(16),
         funcspace.coeffs_to_values_matrix(16),
@@ -359,6 +360,8 @@ def test_kept_arrays_are_read_only():
         transfer._markov_jets(17),
         transfer._SUP_T,
         *funcspace._plateau_plan(40),
+        funcspace._bias_ramp(30),
+        *transfer._tail_weights(transfer.DEFAULT_A_MAX),
         _solved(assemble_operator(MapKind.GAUSS, 16))._bordered_inv,
     ]
     assert [a.flags.writeable for a in kept] == [False] * len(kept)
