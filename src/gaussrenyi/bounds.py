@@ -23,6 +23,11 @@ import numpy as np
 
 from .maps import check_count, warn
 
+__all__ = [
+    "LasotaYorkeBounds", "c_bound", "eps_max", "hurwitz_zeta", "lasota_yorke_bounds",
+    "theta_bound",
+]
+
 # B_2j / (2j)! for j = 1..8, the Euler-Maclaurin correction coefficients
 _BERNOULLI_OVER_FACTORIAL = (
     1 / 12,

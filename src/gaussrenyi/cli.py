@@ -54,6 +54,8 @@ from .transfer import (
     DEFAULT_A_MAX, annealed, assemble_operator, invariant_density, tail_error_bound,
 )
 
+__all__ = ["main"]
+
 _CONVERGENCE_GRID = (0.01, 0.02, 0.04)
 
 

@@ -27,6 +27,11 @@ import numpy as np
 
 from .maps import check_count, frozen_copy, warn
 
+__all__ = [
+    "DigitCell", "DigitLaw", "NormalizationError", "digit_cells", "digit_law",
+    "digit_probability", "gauss_kuzmin", "gauss_kuzmin_tail",
+]
+
 
 class NormalizationError(RuntimeError):
     """Digit probabilities failed to sum to at most one."""

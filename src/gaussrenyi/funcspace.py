@@ -49,6 +49,11 @@ import numpy.polynomial.chebyshev as ncheb
 
 from .maps import check_count, check_unit, frozen_copy
 
+__all__ = [
+    "DEFAULT_DEGREE", "ChebFn", "chebyshev_nodes", "linear_combo", "norm_sup",
+    "quadrature_weights",
+]
+
 DEFAULT_DEGREE = 128
 
 # uniform grid of 2049 points for sup-norm estimates (diagnostics only)

@@ -37,6 +37,8 @@ import warnings
 
 import numpy as np
 
+__all__ = ["MapKind", "forward", "two_step_derivative"]
+
 
 class MapKind(enum.Enum):
     GAUSS = "gauss"

@@ -32,6 +32,11 @@ from .funcspace import ChebFn, linear_combo
 from .maps import check_count, check_degree
 from .transfer import _MEAN_LIMIT, _warn_outside_unit, resolvent_solve
 
+__all__ = [
+    "PerturbationSeries", "density_derivative", "mixture_forcing_terms", "mixture_series",
+    "residual", "response_table",
+]
+
 
 @dataclass(frozen=True, eq=False)
 class PerturbationSeries:

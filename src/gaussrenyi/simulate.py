@@ -43,6 +43,11 @@ import numpy as np
 
 from .maps import MapKind, check_count, check_kind, check_unit, frozen_copy, map_step
 
+__all__ = [
+    "DensityHistogram", "EmpiricalLaw", "SimConfig", "brute_force_transfer", "digit_b",
+    "empirical_density", "simulate_digit_freq",
+]
+
 _BLOCK = 1 << 15  # orbits stepped together, and uniforms per draw
 _SEL_BITS = 1 << 22  # selection bits held at once (4 MiB): the memory bound in n_index
 _A_HUGE = 10**6  # branches summed by brute_force_transfer

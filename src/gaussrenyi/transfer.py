@@ -35,14 +35,12 @@ A fixed density is solved once per matrix, so :func:`invariant_density`
 runs one ``np.linalg.solve``.  The k resolvent solves of an order-k
 series share one matrix, so :func:`resolvent_solve` inverts the bordered
 matrix once per :class:`OperatorMatrix`, keeps the read-only inverse on
-the record and answers every later solve with mat-vecs.  Both return
-their solution chopped at its rounding plateau, with the mass or mean
-kept.  A fixed density's negativity is decided on the grid ``SUP_GRID``;
-a bound on its Chebyshev coefficients settles most densities without the
-full grid sum.  The bound sums a head of 8, 16, 32, ... coefficients on
-the grid, the shortest below the degree whose tail is at most |c_0| / 8,
-and settles every eps up to 0.965 at degree 32 and up to 0.995 at
-degrees 128 and 512.
+the record (its size is in the record's docstring) and answers every
+later solve with mat-vecs.  Both return their solution chopped at its
+rounding plateau, with the mass or mean kept.  A fixed density's
+negativity is decided on the grid ``SUP_GRID``; a bound on its Chebyshev
+coefficients settles most densities without the full grid sum
+(:func:`invariant_density` states the heads it sums and the eps each settles).
 """
 
 from __future__ import annotations
@@ -53,8 +51,8 @@ from functools import lru_cache
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
-# transfer.hurwitz_zeta stays importable: bench/spans.py wraps it by getattr, so
-# spans.install needs it until that span is re-pointed at bounds.hurwitz_zeta
+# transfer.hurwitz_zeta stays importable, though not in __all__: bench/spans.py
+# wraps it by getattr until that span is re-pointed at bounds.hurwitz_zeta
 from .bounds import hurwitz_zeta, warn_if_inadmissible
 from .funcspace import (
     DEFAULT_DEGREE,
@@ -68,6 +66,12 @@ from .funcspace import (
     values_to_coeffs_matrix,
 )
 from .maps import MapKind, check_count, check_degree, check_kind, frozen_copy, warn
+
+__all__ = [
+    "DEFAULT_A_MAX", "ConvergenceError", "OperatorMatrix", "TailBoundWarning", "annealed",
+    "apply_transfer", "assemble_operator", "invariant_density", "resolvent_solve",
+    "tail_error_bound",
+]
 
 DEFAULT_A_MAX = 256  # branch cutoff of the Euler-Maclaurin tail: branches a <= a_max are summed
 _RESIDUAL_LIMIT = 1e-12

@@ -1,7 +1,14 @@
 """Forward maps, the two-step branch derivative and the package-wide rules."""
 
+import ast
+import importlib
+import inspect
 import math
+import os
+import pkgutil
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -199,6 +206,56 @@ def test_public_names_resolve():
     exec("from gaussrenyi import *", star)
     del star["__builtins__"]
     assert sorted(star) == sorted(names)
+
+
+_MODULES = sorted(info.name for info in pkgutil.iter_modules(gaussrenyi.__path__))
+_LIBRARY = [name for name in _MODULES if name != "cli"]  # the modules the package re-exports
+
+
+def _top_level_assignments(module):
+    """The names that module's source binds by a top-level assignment."""
+    tree = ast.parse(inspect.getsource(module))
+    targets = [t for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
+    targets += [node.target for node in tree.body if isinstance(node, ast.AnnAssign)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_module_owns_its_public_names(name):
+    # every name a module lists is defined there, and its star import binds exactly them
+    module = importlib.import_module(f"gaussrenyi.{name}")
+    assigned = _top_level_assignments(module)
+    for public in module.__all__:
+        obj = getattr(module, public)
+        if callable(obj):
+            assert obj.__module__ == module.__name__, public
+        else:
+            assert public in assigned, public
+    star = {}
+    exec(f"from gaussrenyi.{name} import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(module.__all__)
+
+
+def test_package_reexports_each_module_list_once():
+    # the library modules' lists are disjoint and the package exports their union;
+    # the CLI is not re-exported, and a plain import does not load it
+    names = [public for name in _LIBRARY
+             for public in importlib.import_module(f"gaussrenyi.{name}").__all__]
+    assert len(set(names)) == len(names)
+    assert sorted(gaussrenyi.__all__) == sorted(names)
+    src = os.path.dirname(os.path.dirname(gaussrenyi.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gaussrenyi; "
+            "print(sorted(m for m in sys.modules if m.startswith('gaussrenyi.')))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == str([f"gaussrenyi.{name}" for name in _LIBRARY])
+
+
+def test_transfer_keeps_hurwitz_zeta():
+    # bench/spans.py wraps transfer.hurwitz_zeta by getattr (ROADMAP item 1), and
+    # tier-1 does not run bench/tests, so this pins the import that spans.py needs
+    assert gaussrenyi.transfer.hurwitz_zeta is gaussrenyi.bounds.hurwitz_zeta
 
 
 _G64 = ChebFn(np.eye(65)[1])  # T_1 at degree 64, of zero mean
