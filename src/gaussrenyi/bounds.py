@@ -6,13 +6,15 @@ derivatives of the two-step branches is bounded by
     theta = zeta(2i)^2 - (1 - 2^(-2i))      (Gauss-Gauss pairs)
     c     = zeta(2i)^2                      (Renyi-Renyi pairs)
 
-with theta < 1 < c.  The convex mixture with weight eps on the Renyi
-map therefore contracts while (1-eps) theta + eps c < 1, which pins the
-admissible range eps <= (1 - theta) / (c - theta).  The index i = 1 is
-refused ("smoothness index must be at least 2"): at i = 1 the two-step
-derivative sums give no contraction constant, since zeta(2)^2 - 3/4 > 1,
-so theta < 1 fails and the Lasota-Yorke estimate does not cover it.
-:func:`hurwitz_zeta` is the package's one zeta summation.
+with theta < 1 < c, computed from z = zeta(2i) - 1 as z (2 + z) + 4^(-i)
+and (1 + z)^2 with no difference of numbers near 1.  The convex mixture
+with weight eps on the Renyi map therefore contracts while
+(1-eps) theta + eps c < 1, which pins the admissible range
+eps <= (1 - theta) / (c - theta) = (1 - theta) / (1 - 4^(-i)).  The
+index i = 1 is refused ("smoothness index must be at least 2"): at
+i = 1 the two-step derivative sums give no contraction constant, since
+zeta(2)^2 - 3/4 > 1, so theta < 1 fails and the Lasota-Yorke estimate
+does not cover it.  :func:`hurwitz_zeta` is the package's one zeta summation.
 """
 
 from __future__ import annotations
@@ -49,13 +51,13 @@ def hurwitz_zeta(s, q):
     half-term and eight Bernoulli corrections at x = q + 12 (the
     Euler-Maclaurin formula, DLMF 2.10.1, on the series DLMF 25.11.1),
     which leaves a remainder far below double rounding for s >= 2 and
-    q >= 1.  Vectorised over q.
+    q >= 1.  Vectorised over q; s and q must be finite.
     """
-    if not s > 1:  # also catches NaN
-        raise ValueError(f"exponent must exceed 1: {s!r}")
+    if not 1 < s < np.inf:  # also catches NaN
+        raise ValueError(f"exponent must be finite and exceed 1: {s!r}")
     qa = np.asarray(q, dtype=float)
-    if not np.all(qa > 0):
-        raise ValueError("offset must exceed 0")
+    if not np.all((qa > 0) & (qa < np.inf)):
+        raise ValueError("offset must be finite and exceed 0")
     s = float(s)
     x = qa + _EXPLICIT_TERMS
     xs = x**-s
@@ -70,21 +72,21 @@ def hurwitz_zeta(s, q):
 
 
 def theta_bound(i):
-    """Contraction factor zeta(2i)^2 - (1 - 2^(-2i)), in (0, 1) for i >= 2."""
+    """Contraction factor zeta(2i)^2 - (1 - 4^(-i)) = z (2 + z) + 4^(-i), in (0, 1), i >= 2."""
     check_count("smoothness index", i, 2)
-    return hurwitz_zeta(2 * i, 1.0) ** 2 - (1.0 - 0.25**i)
+    z = hurwitz_zeta(2 * i, 2.0)  # zeta(2i) - 1
+    return z * (2.0 + z) + 0.25**i
 
 
 def c_bound(i):
-    """Renyi-pair bound zeta(2i)^2, slightly above 1 and decreasing in i."""
+    """Renyi-pair bound zeta(2i)^2 = (1 + z)^2, slightly above 1 and decreasing in i."""
     check_count("smoothness index", i, 2)
-    return hurwitz_zeta(2 * i, 1.0) ** 2
+    return (1.0 + hurwitz_zeta(2 * i, 2.0)) ** 2
 
 
 def eps_max(i):
-    """Largest admissible Renyi weight, (1 - theta) / (c - theta)."""
-    th = theta_bound(i)
-    return (1.0 - th) / (c_bound(i) - th)
+    """Largest admissible Renyi weight, (1 - theta) / (c - theta), c - theta = 1 - 4^(-i)."""
+    return (1.0 - theta_bound(i)) / (1.0 - 0.25**i)
 
 
 @dataclass(frozen=True)

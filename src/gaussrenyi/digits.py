@@ -38,15 +38,15 @@ class NormalizationError(RuntimeError):
 
 
 def gauss_kuzmin(n):
-    """Gauss-Kuzmin probability of digit n: log2((1 + 1/n) / (1 + 1/(n+1)))."""
+    """Gauss-Kuzmin probability of digit n, -log2(1 - 1/(n+1)^2) by log1p."""
     check_count("digit", n, 1)
-    return math.log2((1.0 + 1.0 / n) / (1.0 + 1.0 / (n + 1)))
+    return -math.log1p(-1.0 / (n + 1) ** 2) / math.log(2.0)
 
 
 def gauss_kuzmin_tail(n_max):
-    """Mass of the Gauss-Kuzmin law above n_max; the sum telescopes."""
+    """Mass log2(1 + 1/(n_max+1)) of the Gauss-Kuzmin law above n_max (telescoped sum)."""
     check_count("digit cutoff", n_max, 1)
-    return math.log2(1.0 + 1.0 / (n_max + 1))
+    return math.log1p(1.0 / (n_max + 1)) / math.log(2.0)
 
 
 @dataclass(frozen=True)

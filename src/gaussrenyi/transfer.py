@@ -11,6 +11,8 @@ the reflection R(x) = 1 - x, so its operator is L1 f = L0 (f o R).  The
 countable Gauss branch sum is split into an explicit part a <= a_max and
 a tail a > a_max summed by Euler-Maclaurin (DLMF 2.10.1), which reads f
 and its first three derivatives at the interior points 1/(a_max + 1 + y).
+Its remainder bound :func:`tail_error_bound` is linear in |c|, one dot
+product with a read-only row cached per coefficient length and a_max.
 
 Discretization collocates the operator on the Chebyshev-Lobatto nodes,
 giving a dense matrix acting on node values.  One Gauss matrix is built
@@ -34,19 +36,19 @@ system [[I - M, 1], [q, 0]], for right-hand sides [0; 1] and [g; 0].
 A fixed density is solved once per matrix, so :func:`invariant_density`
 runs one ``np.linalg.solve``.  The k resolvent solves of an order-k
 series share one matrix, so :func:`resolvent_solve` inverts the bordered
-matrix once per :class:`OperatorMatrix`, keeps the read-only inverse on
-the record (its size is in the record's docstring) and answers every
-later solve with mat-vecs.  Both return their solution chopped at its
-rounding plateau, with the mass or mean kept.  A fixed density's
-negativity is decided on the grid ``SUP_GRID``; a bound on its Chebyshev
-coefficients settles most densities without the full grid sum
+matrix once per :class:`OperatorMatrix`, as the record's cached property
+(its size is in the record's docstring), and answers every later solve
+with mat-vecs.  Both pass one residual gate and return their solution
+chopped at its rounding plateau, with the mass or mean kept.  A fixed
+density's negativity is decided on the grid ``SUP_GRID``; a bound on its
+Chebyshev coefficients settles most densities without the full grid sum
 (:func:`invariant_density` states the heads it sums and the eps each settles).
 """
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass, field
-from functools import lru_cache
+from dataclasses import KW_ONLY, dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
@@ -80,7 +82,6 @@ _NEGATIVE_LIMIT = -1e-10
 _MEAN_LIMIT = 1e-10  # largest |mean| of a right-hand side on the zero-mean subspace
 _HEAD = 8  # coefficients in the shortest head of the negativity certificate
 _SUP_T = frozen_copy(2.0 * SUP_GRID - 1.0)  # SUP_GRID in the Chebyshev variable t = 2x - 1
-_LAH_6 = frozen_copy([720.0, 1800.0, 1200.0, 300.0, 30.0, 1.0])  # Lah numbers L(6, i), i = 1..6
 
 
 class TailBoundWarning(UserWarning):
@@ -96,18 +97,16 @@ class OperatorMatrix:
     """Collocation matrix of a transfer operator acting on node values.
 
     The degree is read off the square entries; the keyword-only eps is the
-    weight of an annealed mixture and None for a single map.  The first
-    :func:`resolvent_solve` on a record stores the read-only inverse of
-    its bordered matrix, (degree + 2)^2 floats (135 kB at degree 128,
-    2.1 MB at 512); the memo takes no part in ``repr``.  Equality and
-    hashing are by identity, as for every record that holds an array.
+    weight of an annealed mixture and None for a single map.  The cached
+    property ``_bordered_inv``, the read-only inverse of the bordered matrix
+    that the first :func:`resolvent_solve` computes, is (degree + 2)^2 floats
+    (135 kB at degree 128, 2.1 MB at 512) and no field, so not in ``repr``.
+    Equality and hashing are by identity, as for every record that holds an array.
     """
 
     entries: np.ndarray
     _: KW_ONLY
     eps: float | None = None
-    # inverse of [[I - M, 1], [q, 0]], set by the first resolvent solve
-    _bordered_inv: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         e = frozen_copy(self.entries)
@@ -118,6 +117,11 @@ class OperatorMatrix:
     @property
     def degree(self):
         return self.entries.shape[0] - 1
+
+    @cached_property
+    def _bordered_inv(self):
+        """Read-only inverse of [[I - M, 1], [q, 0]], computed on first use."""
+        return frozen_copy(_bordered(np.linalg.inv, self))
 
 
 @lru_cache(maxsize=16)
@@ -158,24 +162,18 @@ def _collocation_matrix(degree, a_max):
 
 
 @lru_cache(maxsize=32)
-def _markov_jets(n):
-    """Read-only (7, n) array: row i holds d^i/dx^i T_k(2x - 1) at x = 1, k < n."""
+def _tail_row(n, a_max):
+    """Read-only row r, n long: :func:`tail_error_bound` with each s_i read as T_k^(i)(1)."""
     k = np.arange(n)
-    jets = np.empty((7, n))
-    jet = np.ones(n)
-    for i in range(7):
-        jets[i] = jet
-        jet = 2.0 * jet * (k * k - i * i) / (2 * i + 1)
-    return frozen_copy(jets)
-
-
-@lru_cache(maxsize=16)
-def _tail_weights(a_max):
-    """Read-only rows L(6, i) A^-(5+i)/(5+i), 2i and i(i-1), i = 1..6, A = a_max + 1."""
+    jets = [np.zeros(n), np.ones(n)]  # jets[i + 1] is J_i; J_(-1) = 0 meets only i(i-1) = 0
+    for i in range(6):
+        jets.append(2.0 * jets[-1] * (k * k - i * i) / (2 * i + 1))
     A = a_max + 1.0
-    i = np.arange(1, 7)
-    return (frozen_copy(_LAH_6 * A ** -(5.0 + i) / (5 + i)), frozen_copy(2 * i, dtype=int),
-            frozen_copy(i * (i - 1), dtype=int))
+    row = np.zeros(n)
+    for i, lah in enumerate((720.0, 1800.0, 1200.0, 300.0, 30.0, 1.0), start=1):
+        moments = jets[i + 1] / A**2 + 2 * i * jets[i] / A + i * (i - 1) * jets[i - 1]
+        row += lah * A ** -(5.0 + i) / (5 + i) * moments
+    return frozen_copy(row / 15120)
 
 
 def tail_error_bound(f, a_max=DEFAULT_A_MAX):
@@ -189,19 +187,14 @@ def tail_error_bound(f, a_max=DEFAULT_A_MAX):
     with c_k the coefficients of f chopped at its standardChop plateau
     (:func:`chop_length`): rounding noise, which the majorants amplify like
     k^(2i), stays out.  For the Gauss density s_i = i!/ln 2 exactly.  The
-    seven jet rows T_k^(i)(1) are cached per coefficient length as one
-    read-only (7, degree + 1) array; the sums read their first terms.  The
-    rows of i that depend on a_max alone are cached per a_max.
+    bound is linear in |c|, so it is one dot product with a read-only row
+    cached per coefficient length and a_max.
     a_max, at least 8 as in :func:`assemble_operator`, is checked before f is read.
     """
     check_count("a_max", a_max, 8)
-    c = np.abs(f.coeffs[: chop_length(f.coeffs)])
-    # s[0] = 0 stands for s_(-1), which only i(i-1) = 0 multiplies
-    s = np.array([0.0] + [c @ jet for jet in _markov_jets(len(f.coeffs))[:, : len(c)]])
-    A = a_max + 1.0
-    weight, two_i, i_i1 = _tail_weights(a_max)
-    moments = s[2:] / A**2 + two_i * s[1:-1] / A + i_i1 * s[:-2]
-    return float(np.sum(weight * moments)) / 15120
+    c = f.coeffs
+    n = chop_length(c)
+    return float(np.abs(c[:n]) @ _tail_row(len(c), a_max)[:n])
 
 
 def apply_transfer(kind, f, a_max=DEFAULT_A_MAX):
@@ -282,9 +275,12 @@ def _bordered(linalg_op, m, *args):
         raise ConvergenceError(f"bordered system is singular: {exc}") from exc
 
 
-def _fixed_residual(m, u, g):
-    """Residual max|u - M u - g| of u in (I - M) u = g."""
-    return float(np.max(np.abs(u - m.entries @ u - g)))
+def _gated(m, u, g, name, limit):
+    """u chopped, or ConvergenceError if max|u - M u - g| exceeds limit or is NaN."""
+    res = float(np.max(np.abs(u - m.entries @ u - g)))
+    if not res <= limit:  # also catches a NaN residual
+        raise ConvergenceError(f"{name} residual {res:.3e} exceeds {limit:g}")
+    return chopped(ChebFn.from_values(u))
 
 
 def _certified_positive(c):
@@ -336,10 +332,7 @@ def invariant_density(m):
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
     v = _bordered(np.linalg.solve, m, rhs)[:n]
-    res = _fixed_residual(m, v, 0.0)
-    if not res <= _RESIDUAL_LIMIT:  # also catches a NaN residual
-        raise ConvergenceError(f"fixed-point residual {res:.3e} exceeds {_RESIDUAL_LIMIT:g}")
-    h = chopped(ChebFn.from_values(v))
+    h = _gated(m, v, 0.0, "fixed-point", _RESIDUAL_LIMIT)
     if _certified_positive(h.coeffs):
         return h
     grid_min = float(np.min(h(SUP_GRID)))
@@ -353,8 +346,8 @@ def resolvent_solve(m, g):
 
     Solves the bordered system with right-hand side [g; 0]; for
     zero-mean g it returns the unique solution with zero mean.  The
-    first solve on a record inverts the bordered matrix and stores the
-    read-only inverse on it, (degree + 2)^2 floats.  Every solve then
+    first solve on a record computes its cached property, the read-only
+    inverse of the bordered matrix, (degree + 2)^2 floats.  Every solve then
     applies the inverse twice, the second time in one refinement step,
     and meets the 1e-9 residual gate.  The solution is then returned
     chopped (:func:`~gaussrenyi.funcspace.chopped`): its coefficients
@@ -368,9 +361,6 @@ def resolvent_solve(m, g):
     if abs(mean) > _MEAN_LIMIT:
         raise ValueError(f"right-hand side must have zero mean, got {mean:.3e}")
     inv = m._bordered_inv
-    if inv is None:
-        inv = frozen_copy(_bordered(np.linalg.inv, m))
-        object.__setattr__(m, "_bordered_inv", inv)
     n = m.degree + 1
     rhs = np.append(g.values, 0.0)
     x = inv @ rhs
@@ -379,7 +369,4 @@ def resolvent_solve(m, g):
     u, c = x[:n], x[n]
     r = rhs - np.append(u - m.entries @ u + c, quadrature_weights(m.degree) @ u)
     u = (x + inv @ r)[:n]
-    res = _fixed_residual(m, u, g.values)
-    if not res <= _RESOLVENT_LIMIT:  # also catches a NaN residual
-        raise ConvergenceError(f"resolvent residual {res:.3e} exceeds {_RESOLVENT_LIMIT:g}")
-    return chopped(ChebFn.from_values(u))
+    return _gated(m, u, g.values, "resolvent", _RESOLVENT_LIMIT)

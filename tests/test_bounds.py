@@ -1,6 +1,7 @@
 """Contraction constants and the admissible mixture range."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -32,6 +33,24 @@ def test_theta_i3():
     expected = (math.pi**6 / 945) ** 2 - 63.0 / 64.0
     assert abs(theta_bound(3) - expected) < 1e-15
     assert abs(expected - 0.050611906) < 1e-9
+
+
+def _decimal_bounds(i):
+    # theta, c and eps_max from zeta(2i) - 1 summed over a >= 2 in 60 digits
+    with localcontext() as ctx:
+        ctx.prec = 60
+        z = sum(Decimal(a) ** (-2 * i) for a in range(2, 2000))
+        quarter = Decimal(4) ** -i
+        theta = z * (2 + z) + quarter
+        return theta, (1 + z) ** 2, (1 - theta) / (1 - quarter)
+
+
+@pytest.mark.parametrize("i", [8, 16, 27, 30])
+def test_bounds_against_decimal_reference(i):
+    # zeta(2i)^2 and 1 - 4^(-i) are both near 1; the bounds keep their
+    # small difference, which is 1.7e-16 at i = 27
+    for got, want in zip((theta_bound(i), c_bound(i), eps_max(i)), _decimal_bounds(i)):
+        assert abs(Decimal(got) / want - 1) < Decimal("1e-14"), i
 
 
 def test_theta_small_for_large_index():

@@ -1,6 +1,7 @@
 """Gauss-Kuzmin law and the digit law of the random expansion."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
@@ -25,11 +26,30 @@ LN2 = math.log(2.0)
 # ---------------------------------------------------------- closed forms
 
 
+def _decimal_log2(x):
+    # log2 of a Decimal in 50 digits
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return x.ln() / Decimal(2).ln()
+
+
 def test_gauss_kuzmin_values():
-    assert abs(gauss_kuzmin(1) - math.log(4 / 3) / LN2) < 1e-16
+    # log2(4/3) and log2(36/35) in 50 digits
+    assert abs(gauss_kuzmin(1) - float(_decimal_log2(Decimal(4) / 3))) < 1e-16
     assert abs(gauss_kuzmin(1) - 0.4150375) < 1e-7
-    assert abs(gauss_kuzmin(5) - math.log(36 / 35) / LN2) < 1e-16
+    assert abs(gauss_kuzmin(5) - float(_decimal_log2(Decimal(36) / 35))) < 1e-16
     assert abs(gauss_kuzmin(5) - 0.0406420) < 1e-7
+
+
+@pytest.mark.parametrize("n", [1000, 10**6, 10**17])
+def test_gauss_kuzmin_far_digits(n):
+    # the ratio (1 + 1/n) / (1 + 1/(n+1)) rounds to 1 at n = 10^17
+    with localcontext() as ctx:
+        ctx.prec = 50
+        law = _decimal_log2((1 + 1 / Decimal(n)) / (1 + 1 / Decimal(n + 1)))
+        tail = _decimal_log2(1 + 1 / Decimal(n + 1))
+    assert abs(gauss_kuzmin(n) / float(law) - 1.0) < 1e-14
+    assert abs(gauss_kuzmin_tail(n) / float(tail) - 1.0) < 1e-14
 
 
 def test_gauss_kuzmin_sums_to_one():

@@ -77,6 +77,10 @@ def test_hurwitz_zeta_validation():
         hurwitz_zeta(math.nan, 1.0)
     with pytest.raises(ValueError):
         hurwitz_zeta(3.0, math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        hurwitz_zeta(math.inf, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        hurwitz_zeta(2.0, math.inf)
 
 
 # ------------------------------------------------------- apply_transfer
@@ -154,7 +158,7 @@ def test_tail_error_bound_ignores_rounding_noise():
 
 
 def _tail_error_bound_jets(f, a_max):
-    # the Markov jets rebuilt on every call, kept as the oracle of tail_error_bound
+    # the Markov majorants s_i rebuilt on every call, kept as the oracle of tail_error_bound
     c = np.abs(f.coeffs[: funcspace.chop_length(f.coeffs)])
     k = np.arange(len(c))
     jet = np.ones(len(c))
@@ -165,12 +169,15 @@ def _tail_error_bound_jets(f, a_max):
     A = a_max + 1.0
     i = np.arange(1, 7)
     moments = s[1:] / A**2 + 2 * i * s[:-1] / A + i * (i - 1) * np.append(0.0, s[:-2])
-    return float(np.sum(transfer._LAH_6 * A ** -(5.0 + i) / (5 + i) * moments)) / 15120
+    lah = np.array([720.0, 1800.0, 1200.0, 300.0, 30.0, 1.0])  # Lah numbers L(6, i)
+    return float(np.sum(lah * A ** -(5.0 + i) / (5 + i) * moments)) / 15120
 
 
 def test_tail_error_bound_matches_the_per_call_jets(ops128, h0_128):
-    # the cached jet rows give the bits of the per-call recurrence on h0,
-    # c_1..c_20 and the fixed densities at 20 weights, low band and edge
+    # the cached row gives the per-call majorant sums on h0, c_1..c_20 and
+    # the fixed densities at 20 weights, low band and edge, to the rounding
+    # of a different summation order; the cached row is the one a fresh
+    # build makes, bit for bit
     m0, m1 = ops128
     fns = [h0_128, *mixture_series(h0_128, m0, m1, 20).coeffs]
     with warnings.catch_warnings():
@@ -178,7 +185,11 @@ def test_tail_error_bound_matches_the_per_call_jets(ops128, h0_128):
         fns += [invariant_density(annealed(eps, m0, m1)) for eps in np.linspace(0.0, 0.99, 20)]
     for f in fns:
         for a_max in (8, 64, transfer.DEFAULT_A_MAX):
-            assert tail_error_bound(f, a_max) == _tail_error_bound_jets(f, a_max)
+            want = _tail_error_bound_jets(f, a_max)
+            assert abs(tail_error_bound(f, a_max) / want - 1.0) <= 2e-15
+    for a_max in (8, 64, transfer.DEFAULT_A_MAX):
+        row = transfer._tail_row(129, a_max)
+        assert np.array_equal(row, transfer._tail_row.__wrapped__(129, a_max))
 
 
 def test_tail_bound_warning():
@@ -346,8 +357,8 @@ def test_records_compare_and_hash():
 
 def test_kept_arrays_are_read_only():
     # the basis caches, the collocation cache, the chop plans and ramps, the
-    # jet rows, the tail weights, the node values and the module constants
-    # are read-only, like the records
+    # tail rows, the node values and the module constants are read-only,
+    # like the records
     kept = [
         funcspace.values_to_coeffs_matrix(16),
         funcspace.coeffs_to_values_matrix(16),
@@ -356,12 +367,10 @@ def test_kept_arrays_are_read_only():
         transfer._collocation_matrix(16, transfer.DEFAULT_A_MAX),
         ChebFn.constant(1.0, 16).values,
         funcspace.SUP_GRID,
-        transfer._LAH_6,
-        transfer._markov_jets(17),
+        transfer._tail_row(17, transfer.DEFAULT_A_MAX),
         transfer._SUP_T,
         *funcspace._plateau_plan(40),
         funcspace._bias_ramp(30),
-        *transfer._tail_weights(transfer.DEFAULT_A_MAX),
         _solved(assemble_operator(MapKind.GAUSS, 16))._bordered_inv,
     ]
     assert [a.flags.writeable for a in kept] == [False] * len(kept)
@@ -663,8 +672,11 @@ def test_resolvent_inverts_once_per_operator(monkeypatch):
 
 def test_bordered_inverse_is_private_to_its_record():
     a, b = assemble_operator(MapKind.GAUSS, 32), assemble_operator(MapKind.GAUSS, 32)
-    _solved(a)
-    assert a._bordered_inv is not None and b._bordered_inv is None
+    assert "_bordered_inv" not in vars(a) and "_bordered_inv" not in vars(b)
+    inv = _solved(a)._bordered_inv
+    assert "_bordered_inv" not in vars(b)
+    # a second solve on the record reads the same inverse object
+    assert _solved(a)._bordered_inv is inv
     # the memo takes no part in repr, and equality is identity
     assert a == a and a != b and hash(a) == object.__hash__(a)
     assert repr(a) == repr(b) and "_bordered_inv" not in repr(a)
