@@ -21,17 +21,22 @@ the density one per sample per burn-in step.  Each uniform takes the
 next 64-bit output of the generator, so draws of whole rows taken in
 order consume exactly the stream of one (samples, n_index) draw, and
 the chunks of one burn-in step taken in order that of one draw per
-sample.  Both oracles rely on this to work in pieces that stay in
-cache.  The digit oracle steps its orbits in blocks of ``_BLOCK`` and
-fills a block's selection bits from draws of whole rows, about
-``_BLOCK`` uniforms each, compared where they lie and transposed as
-bits, so that every step reads one contiguous row; a late digit index
-shortens the block so that its bits stay within ``_SEL_BITS``, which
-keeps memory O(samples + n_index).  The density oracle draws, compares
-and steps each burn-in step in chunks of ``_BLOCK`` orbits.  All
-buffers are allocated once per run and the orbits step in place; the
-stream, and every count, is that of the implementation that drew and
-stepped whole arrays.
+sample.  The map choices are read through a second cursor on the same
+stream, advanced past the initial points by PCG64's jump-ahead, which
+moves the underlying 128-bit LCG any distance in O(log distance) steps.
+Both oracles rely on this to work in pieces that stay in cache.  The
+digit oracle steps its orbits in blocks of ``_BLOCK``: one cursor fills
+a block's initial points, the other its selection bits from draws of
+whole rows, about ``_BLOCK`` uniforms each, compared where they lie and
+transposed as bits, so that every step reads one contiguous row; a late
+digit index shortens the block so that its bits stay within
+``_SEL_BITS``.  The density oracle runs chunk-major: each chunk of
+``_BLOCK`` orbits takes its whole burn-in while it stays in cache, its
+choice cursor jumping over the other orbits' draws after each step, and
+the chunks' bin counts are summed.  Memory is O(``_BLOCK`` + n_index),
+independent of the sample count.  All buffers are allocated once per
+run and the orbits step in place; the stream, and every count, is that
+of the implementation that drew and stepped whole arrays.
 """
 
 from __future__ import annotations
@@ -119,6 +124,15 @@ def digit_b(omega1, omega2, x):
     return int(math.floor(1.0 / z)) + omega2
 
 
+def _cursor(seed, skip):
+    """Generator on the seeded stream, advanced past its first ``skip`` uniforms.
+
+    ``_cursor(seed, 0)`` is ``np.random.default_rng(seed)``."""
+    bit_generator = np.random.PCG64(seed)
+    bit_generator.advance(skip)
+    return np.random.Generator(bit_generator)
+
+
 def simulate_digit_freq(cfg, n_max=100):
     """Empirical law of the digit at time cfg.n_index.
 
@@ -136,19 +150,18 @@ def simulate_digit_freq(cfg, n_max=100):
     exactly on a branch endpoint (undefined digit) is counted as overflow.
     """
     check_count("n_max", n_max, 1)
-    rng = np.random.default_rng(cfg.seed)
-    x = rng.random(cfg.samples)  # stepped in place, block by block
+    points, rng = _cursor(cfg.seed, 0), _cursor(cfg.seed, cfg.samples)
     n = cfg.n_index
     rows = min(cfg.samples, _BLOCK, max(1, _SEL_BITS // (n + 1)))
     m = min(rows, max(1, _BLOCK // n))  # orbits per draw: whole rows
     u = np.empty((m, n))
     drawn = np.empty((m, n), dtype=bool)
     sel = np.zeros((n + 1, rows), dtype=bool)  # row 0: the Gauss step, then the choices
-    digit = np.empty(rows)
+    x, digit = np.empty(rows), np.empty(rows)  # x is stepped in place
     binned = np.zeros(n_max + 2, dtype=np.int64)
     for start in range(0, cfg.samples, rows):
         r = min(rows, cfg.samples - start)
-        xb, k = x[start : start + r], digit[:r]
+        xb, k = points.random(out=x[:r]), digit[:r]
         for s in range(0, r, m):
             c = min(m, r - s)
             rng.random(out=u[:c])
@@ -171,19 +184,21 @@ def empirical_density(cfg, bins=100):
     """
     check_count("burn_in", cfg.burn_in, 50)
     check_count("bins", bins, 1)
-    rng = np.random.default_rng(cfg.seed)
-    x = rng.random(cfg.samples)
+    points = _cursor(cfg.seed, 0)
     chunk = min(cfg.samples, _BLOCK)
-    u = np.empty(chunk)
+    x, u = np.empty(chunk), np.empty(chunk)
     bits = np.empty(chunk, dtype=bool)
-    for _ in range(cfg.burn_in):
-        for start in range(0, cfg.samples, chunk):
-            xb = x[start : start + chunk]
-            ub, bb = u[: xb.size], bits[: xb.size]
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    counts = np.zeros(bins, dtype=np.int64)
+    for start in range(0, cfg.samples, chunk):
+        r = min(chunk, cfg.samples - start)
+        xb, ub, bb = points.random(out=x[:r]), u[:r], bits[:r]
+        rng = _cursor(cfg.seed, cfg.samples + start)  # this chunk's first choices
+        for _ in range(cfg.burn_in):
             np.less(rng.random(out=ub), cfg.eps, out=bb)
             map_step(bb, xb, out=(xb, ub))  # the draws are spent: u takes the digits
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    counts, _ = np.histogram(x, bins=edges)
+            rng.bit_generator.advance(cfg.samples - r)  # to this chunk's next step
+        counts += np.histogram(xb, bins=edges)[0]
     return DensityHistogram(counts / cfg.samples)
 
 

@@ -205,8 +205,9 @@ def test_validation_exit_code(tmp_path, capsys):
 
 
 def test_unallocatable_configuration_exit_code(capsys):
-    # 10^15 samples need 7 PiB: the allocation fails at once, before any work
-    assert main(["simulate", "--samples", str(10**15)]) == 1
+    # digit index 10^15: one orbit's row of map choices needs 7 PiB, so the
+    # allocation fails at once, before any work
+    assert main(["simulate", "--n-index", str(10**15)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
