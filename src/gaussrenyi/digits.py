@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import check_count, frozen_copy, warn
+from .maps import Record, check_count, frozen_copy, warn
 
 __all__ = [
     "DigitCell", "DigitLaw", "NormalizationError", "digit_cells", "digit_law",
@@ -112,7 +112,7 @@ def digit_probability(n, eps, series):
 
 
 @dataclass(frozen=True, eq=False)
-class DigitLaw:
+class DigitLaw(Record):
     """Digit probabilities 1..n_max plus the tail 1 - sum(probs) as computed, at least -1e-8."""
 
     eps: float

@@ -33,7 +33,7 @@ the digit cells that share their ends, sums F once per distinct end.
 
 All objects are immutable values; every operation returns a new
 function.  Every array kept here, the coefficients, the node values, the
-cached basis matrices, the chop plans and bias ramps and the sup-norm grid
+cached basis matrices and the sup-norm grid
 :data:`SUP_GRID`, is a read-only copy from
 :func:`~gaussrenyi.maps.frozen_copy`.  This makes concurrent read access
 safe without locking.
@@ -42,12 +42,13 @@ safe without locking.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
-from .maps import check_count, check_unit, frozen_copy
+from .maps import Record, check_count, check_unit, frozen_copy
 
 __all__ = [
     "DEFAULT_DEGREE", "ChebFn", "chebyshev_nodes", "linear_combo", "norm_sup",
@@ -161,34 +162,14 @@ def _clenshaw(r, x):
     return add(c0, c1, c1)
 
 
-@lru_cache(maxsize=32)
-def _plateau_plan(n):
-    """Read-only index pairs (j - 1, j2 - 1) of the plateau test on n coefficients.
-
-    The test runs at every 1-based j = 2..n whose partner
-    j2 = floor(1.25 j + 5.5) lies in range.
-    """
-    j = np.arange(2, n + 1)
-    j2 = np.floor(1.25 * j + 5.5).astype(int)
-    keep = j2 <= n
-    return frozen_copy(j[keep] - 1, dtype=int), frozen_copy(j2[keep] - 1, dtype=int)
-
-
-@lru_cache(maxsize=128)
-def _bias_ramp(j2):
-    """Read-only linear bias 0 .. -log10(2^-52)/3 over the first j2 coefficients."""
-    return frozen_copy(np.linspace(0.0, -np.log10(_CHOP_TOL) / 3.0, j2))
-
-
 def chop_length(coeffs):
     """Length of ``coeffs`` kept by standardChop at tolerance 2^-52.
 
     Aurentz & Trefethen, *Chopping a Chebyshev series*, ACM TOMS 43(4),
     2017: the envelope of |c_k| is scanned for a plateau, and the
     series is cut where the envelope plus a small linear bias is
-    smallest.  Without a plateau the full length is returned.  The index
-    pairs of the plateau test depend on the length alone and are cached
-    per length, read-only, as is the bias ramp per cut.
+    smallest.  Without a plateau the full length is returned.  The plateau
+    test pairs each 1-based j = 2, 3, ... with j2 = floor(1.25 j + 5.5) <= n.
     """
     tol = _CHOP_TOL
     n = len(coeffs)
@@ -198,8 +179,9 @@ def chop_length(coeffs):
     if env[0] == 0.0:
         return 1
     env = env / env[0]
-    i1, i2 = _plateau_plan(n)
-    e1, e2 = env[i1], env[i2]
+    last = (4 * n - 19) // 5  # the test runs at j = 2..last, whose partner j2 is at most n
+    i2 = np.arange(28, 5 * last + 19, 5) // 4  # j2 - 1 = (5 j + 18) // 4
+    e1, e2 = env[1:last], env[i2]
     with np.errstate(divide="ignore", invalid="ignore"):
         hit = (e1 == 0.0) | (e2 / e1 > 3.0 * (1.0 - np.log(e1) / math.log(tol)))
     if not hit.any():
@@ -210,7 +192,11 @@ def chop_length(coeffs):
     if j3 < j2:
         j2 = j3 + 1
         env[j2 - 1] = level
-    cc = np.log10(env[:j2]) + _bias_ramp(j2)
+    # linear bias 0 .. -log10(tol)/3 over the first j2 coefficients, in linspace's arithmetic
+    top = -math.log10(tol) / 3.0
+    ramp = np.arange(j2) * (top / (j2 - 1))
+    ramp[-1] = top
+    cc = np.log10(env[:j2]) + ramp
     return max(int(np.argmin(cc)), 1)
 
 
@@ -226,21 +212,19 @@ def _reversed_head(c):
     return c[m::-1].tolist()
 
 
-class ChebFn:
+@dataclass(frozen=True, eq=False, repr=False)
+class ChebFn(Record):
     """Polynomial interpolant on [0, 1] in the Chebyshev basis T_k(2x - 1)."""
 
-    __slots__ = ("_coeffs", "_rlist", "_values", "_anti")
+    coeffs: np.ndarray
 
-    def __init__(self, coeffs):
-        c = frozen_copy(coeffs)
+    def __post_init__(self):
+        c = frozen_copy(self.coeffs)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficient array must be one-dimensional and non-empty")
         if not np.all(np.isfinite(c)):
             raise ValueError("non-finite coefficient")
-        self._coeffs = c
-        self._rlist = None
-        self._values = None
-        self._anti = None
+        object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def from_callable(cls, f, degree=DEFAULT_DEGREE):
@@ -270,25 +254,27 @@ class ChebFn:
         return cls(c)
 
     @property
-    def coeffs(self):
-        return self._coeffs
-
-    @property
     def degree(self):
-        return self._coeffs.size - 1
+        return self.coeffs.size - 1
 
-    @property
+    @cached_property
     def values(self):
         """Values at the collocation nodes (cached)."""
-        if self._values is None:
-            self._values = frozen_copy(coeffs_to_values_matrix(self.degree) @ self._coeffs)
-        return self._values
+        return frozen_copy(coeffs_to_values_matrix(self.degree) @ self.coeffs)
+
+    @cached_property
+    def _rlist(self):
+        # the Clenshaw sum walks the floats highest degree first
+        return _reversed_head(self.coeffs)
+
+    @cached_property
+    def _anti(self):
+        anti = _reversed_head(ncheb.chebint(self.coeffs, scl=0.5))
+        # neighbouring intervals share their ends: a bounded memo of F
+        return lru_cache(maxsize=8)(lambda x: _clenshaw(anti, 2.0 * x - 1.0))
 
     def __call__(self, x):
-        if self._rlist is None:
-            # the Clenshaw sum walks the floats highest degree first
-            self._rlist = _reversed_head(self._coeffs)
-        if np.isscalar(x) or np.ndim(x) == 0:
+        if np.ndim(x) == 0:
             x = float(x)
             check_unit("argument", x)
             return _clenshaw(self._rlist, 2.0 * x - 1.0)
@@ -301,16 +287,12 @@ class ChebFn:
 
     def integrate(self):
         """Integral over [0, 1], exact on the polynomial space."""
-        return float(integral_row(self.degree) @ self._coeffs)
+        return float(integral_row(self.degree) @ self.coeffs)
 
     def integrate_on(self, lo, hi):
         """Integral over [lo, hi] via the coefficient antiderivative (cached)."""
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValueError(f"invalid integration bounds [{lo!r}, {hi!r}]")
-        if self._anti is None:
-            anti = _reversed_head(ncheb.chebint(self._coeffs, scl=0.5))
-            # neighbouring intervals share their ends: a bounded memo of F
-            self._anti = lru_cache(maxsize=8)(lambda x: _clenshaw(anti, 2.0 * x - 1.0))
         F = self._anti
         return float(F(hi) - F(lo))
 
@@ -328,14 +310,9 @@ class ChebFn:
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        return ChebFn(float(scalar) * self._coeffs)
+        return ChebFn(float(scalar) * self.coeffs)
 
     __rmul__ = __mul__
-
-    def __reduce__(self):
-        # pickle the coefficients only: the caches, and the memo of F
-        # that pickle cannot take, are rebuilt on demand
-        return ChebFn, (self._coeffs,)
 
     def __repr__(self):
         return f"ChebFn(degree={self.degree})"

@@ -17,7 +17,8 @@ no branch cell contains the point; the kernel reports digit inf there and
 
 :func:`frozen_copy` is the package's one read-only rule: every array that
 a record, a cache or a module constant keeps is a private read-only copy
-made by it.  :func:`check_count` and :func:`check_unit` are its one range
+made by it, and a :class:`Record` is pickled and deep-copied through its
+constructor.  :func:`check_count` and :func:`check_unit` are its one range
 rule: every count with a floor and every value required in [0, 1] is
 checked by them, with the messages "<name> must be at least <floor>:
 <value>" and "<name> outside [0, 1]: <value>".  A count that is not an
@@ -29,6 +30,7 @@ outside the package, however deep the call that warned.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 import operator
@@ -72,6 +74,23 @@ def frozen_copy(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+class Record:
+    """Base of the frozen dataclasses that keep arrays.
+
+    Pickle and deepcopy pass the fields, keyword ones included, back to
+    the constructor, so every kept array is a read-only copy again and
+    derived state is recomputed when first needed.
+    """
+
+    def __reduce__(self):
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.init}
+        return _construct, (type(self), fields)
+
+
+def _construct(cls, fields):
+    return cls(**fields)
 
 
 def warn(message, category=UserWarning):

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import MapKind, check_count, check_kind, check_unit, frozen_copy, map_step
+from .maps import MapKind, Record, check_count, check_kind, check_unit, frozen_copy, map_step
 
 __all__ = [
     "DensityHistogram", "EmpiricalLaw", "SimConfig", "brute_force_transfer", "digit_b",
@@ -77,7 +77,7 @@ class SimConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class EmpiricalLaw:
+class EmpiricalLaw(Record):
     """Digit counts for N = 1..n_max plus an overflow bucket; the total is their sum."""
 
     counts: np.ndarray
@@ -99,7 +99,7 @@ class EmpiricalLaw:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityHistogram:
+class DensityHistogram(Record):
     """Normalized histogram of orbit positions after burn-in, in equal bins of [0, 1]."""
 
     masses: np.ndarray

@@ -67,7 +67,7 @@ from .funcspace import (
     quadrature_weights,
     values_to_coeffs_matrix,
 )
-from .maps import MapKind, check_count, check_degree, check_kind, frozen_copy, warn
+from .maps import MapKind, Record, check_count, check_degree, check_kind, frozen_copy, warn
 
 __all__ = [
     "DEFAULT_A_MAX", "ConvergenceError", "OperatorMatrix", "TailBoundWarning", "annealed",
@@ -81,7 +81,6 @@ _RESOLVENT_LIMIT = 1e-9
 _NEGATIVE_LIMIT = -1e-10
 _MEAN_LIMIT = 1e-10  # largest |mean| of a right-hand side on the zero-mean subspace
 _HEAD = 8  # coefficients in the shortest head of the negativity certificate
-_SUP_T = frozen_copy(2.0 * SUP_GRID - 1.0)  # SUP_GRID in the Chebyshev variable t = 2x - 1
 
 
 class TailBoundWarning(UserWarning):
@@ -93,7 +92,7 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class OperatorMatrix:
+class OperatorMatrix(Record):
     """Collocation matrix of a transfer operator acting on node values.
 
     The degree is read off the square entries; the keyword-only eps is the
@@ -298,7 +297,8 @@ def _certified_positive(c):
             m = _HEAD
             break
         m *= 2
-    return float(np.min(_clenshaw(c[m - 1 :: -1].tolist(), _SUP_T))) > float(np.sum(a[m:]))
+    head = _clenshaw(c[m - 1 :: -1].tolist(), 2.0 * SUP_GRID - 1.0)
+    return float(np.min(head)) > float(np.sum(a[m:]))
 
 
 def invariant_density(m):

@@ -15,11 +15,40 @@ from gaussrenyi import (
     theta_bound,
     two_step_derivative,
 )
+from gaussrenyi.funcspace import chebyshev_nodes
 
 
-def test_even_zeta_closed_forms():
+def test_hurwitz_zeta_closed_forms():
     for n in range(2, 30, 2):
         assert abs(hurwitz_zeta(n, 1.0) - special.zeta(n, 1)) < 1e-14
+
+
+def test_hurwitz_zeta_against_scipy():
+    for s in (2, 3, 4, 6):
+        for q in (9.0, 257.0, 1000.5):
+            assert abs(hurwitz_zeta(s, q) - special.zeta(s, q)) < 1e-13
+    qs = np.array([9.0, 20.0, 400.0])
+    assert np.max(np.abs(hurwitz_zeta(3, qs) - special.zeta(3, qs))) < 1e-14
+    for a_max in (8, 256):
+        qs = a_max + 1.0 + chebyshev_nodes(128)
+        for s in range(2, 8):
+            exact = special.zeta(s, qs)
+            assert np.max(np.abs(hurwitz_zeta(s, qs) / exact - 1.0)) < 1e-14
+
+
+def test_hurwitz_zeta_validation():
+    with pytest.raises(ValueError):
+        hurwitz_zeta(1.0, 5.0)
+    with pytest.raises(ValueError):
+        hurwitz_zeta(3.0, -1.0)
+    with pytest.raises(ValueError):
+        hurwitz_zeta(math.nan, 1.0)
+    with pytest.raises(ValueError):
+        hurwitz_zeta(3.0, math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        hurwitz_zeta(math.inf, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        hurwitz_zeta(2.0, math.inf)
 
 
 def test_theta_i2():

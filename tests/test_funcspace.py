@@ -196,8 +196,8 @@ def test_chop_length_matches_the_loop():
 
 
 def _chop_length_unplanned(coeffs):
-    # chop_length with its plateau-test indices built on every call, kept as
-    # the oracle of the cached plan
+    # chop_length with its plateau-test indices from floor(1.25 j + 5.5) and its
+    # bias from linspace, kept as the oracle of the integer index arithmetic
     tol = 2.0**-52
     n = len(coeffs)
     if n < 17:
@@ -225,7 +225,7 @@ def _chop_length_unplanned(coeffs):
 
 def test_chop_length_matches_the_unplanned_indices():
     # 20,000 seeded series, chopped ones with their trailing zeros included,
-    # at lengths 1 to 600: the cached plan cuts each where the per-call indices do
+    # at lengths 1 to 600: the integer indices cut each where the float floor does
     rng = np.random.default_rng(27)
     family = []
     while len(family) < 20_000:

@@ -198,19 +198,19 @@ def test_series_against_eigensolve(series3, ops128):
 # ------------------------------------------------------------ evaluation
 
 
-def test_evaluate_series_trivial(series3, h0_128):
+def test_at_trivial(series3, h0_128):
     assert norm_sup(series3.at(0.0) - h0_128) == 0.0
     order1 = PerturbationSeries(series3.h0, series3.coeffs[:1], 1)
     manual = h0_128 + 0.1 * series3.coeffs[0]
     assert norm_sup(order1.at(0.1) - manual) < 1e-15
 
 
-def test_evaluate_series_mass(series3):
+def test_at_mass(series3):
     for eps in (0.0, 0.05, 0.2):
         assert abs(series3.at(eps).integrate() - 1.0) < 1e-9
 
 
-def test_evaluate_series_negative_eps(series3):
+def test_at_negative_eps(series3):
     with pytest.raises(ValueError):
         series3.at(-0.1)
 

@@ -1,6 +1,8 @@
 """Transfer operator application, discretization, fixed point, resolvent."""
 
+import copy
 import math
+import pickle
 import re
 import warnings
 
@@ -25,7 +27,7 @@ from gaussrenyi import (
     annealed,
     apply_transfer,
     assemble_operator,
-    hurwitz_zeta,
+    digit_law,
     invariant_density,
     mixture_forcing_terms,
     mixture_series,
@@ -49,38 +51,6 @@ def gauss_density_fn(degree=128):
 
 def zero_mean(f):
     return f - ChebFn.constant(f.integrate(), degree=0) * 1.0
-
-
-# ---------------------------------------------------------------- zeta
-
-
-def test_hurwitz_zeta_against_scipy():
-    for s in (2, 3, 4, 6):
-        for q in (9.0, 257.0, 1000.5):
-            assert abs(hurwitz_zeta(s, q) - special.zeta(s, q)) < 1e-13
-    qs = np.array([9.0, 20.0, 400.0])
-    assert np.max(np.abs(hurwitz_zeta(3, qs) - special.zeta(3, qs))) < 1e-14
-    # vector offsets a_max + 1 + node, where the branch tail starts
-    for a_max in (8, 256):
-        qs = a_max + 1.0 + chebyshev_nodes(128)
-        for s in range(2, 8):
-            exact = special.zeta(s, qs)
-            assert np.max(np.abs(hurwitz_zeta(s, qs) / exact - 1.0)) < 1e-14
-
-
-def test_hurwitz_zeta_validation():
-    with pytest.raises(ValueError):
-        hurwitz_zeta(1.0, 5.0)
-    with pytest.raises(ValueError):
-        hurwitz_zeta(3.0, -1.0)
-    with pytest.raises(ValueError):
-        hurwitz_zeta(math.nan, 1.0)
-    with pytest.raises(ValueError):
-        hurwitz_zeta(3.0, math.nan)
-    with pytest.raises(ValueError, match="finite"):
-        hurwitz_zeta(math.inf, 1.0)
-    with pytest.raises(ValueError, match="finite"):
-        hurwitz_zeta(2.0, math.inf)
 
 
 # ------------------------------------------------------- apply_transfer
@@ -355,10 +325,68 @@ def test_records_compare_and_hash():
         assert a == b and hash(a) == hash(b), type(a).__name__
 
 
+def test_records_stay_read_only_through_pickle_and_deepcopy():
+    # a copy is rebuilt through the constructor, keyword fields included,
+    # and its derived state is recomputed when first needed
+    f = ChebFn(np.random.default_rng(46).standard_normal(17))
+    f(0.3), f(np.array([0.1, 0.9])), f.integrate_on(0.2, 0.7)
+    m = _solved(annealed(0.3, *(assemble_operator(k, 16) for k in MapKind)))
+    records = [
+        (f, lambda r: [r.coeffs, r.values]),
+        (m, lambda r: [r.entries, r._bordered_inv]),
+        (DigitLaw(0.1, 3, np.full(5, 0.2), 0.0), lambda r: [r.probs]),
+        (EmpiricalLaw(np.arange(5, dtype=np.int64), 1), lambda r: [r.counts]),
+        (DensityHistogram(np.full(4, 0.25)), lambda r: [r.masses]),
+    ]
+    for record, arrays in records:
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(copied) is type(record) and copied is not record
+            assert repr(copied) == repr(record)
+            assert not {"values", "_rlist", "_anti", "_bordered_inv"} & vars(copied).keys()
+            for got, want in zip(arrays(copied), arrays(record)):
+                assert not got.flags.writeable, type(record).__name__
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert pickle.loads(pickle.dumps(m)).eps == copy.deepcopy(m).eps == 0.3
+
+
+def test_module_caches_are_keyed_by_degree_alone():
+    # a degree-128 pipeline leaves one entry in every module-level cache of
+    # funcspace and transfer: each is keyed by the degree (and a_max) only
+    keys = {
+        "values_to_coeffs_matrix": (128,),
+        "coeffs_to_values_matrix": (128,),
+        "integral_row": (128,),
+        "quadrature_weights": (128,),
+        "_collocation_matrix": (128, transfer.DEFAULT_A_MAX),
+        "_tail_row": (129, transfer.DEFAULT_A_MAX),
+    }
+    caches = {
+        name: fn
+        for module in (funcspace, transfer)
+        for name, fn in vars(module).items()
+        if hasattr(fn, "cache_info") and fn.__module__ == module.__name__
+    }
+    for fn in caches.values():
+        fn.cache_clear()
+    m0, m1 = (assemble_operator(kind, 128) for kind in MapKind)
+    h0 = invariant_density(m0)
+    series = mixture_series(h0, m0, m1, order=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 0.9 and 0.97 lie outside the admissible range
+        for eps in (0.1, 0.5, 0.9, 0.97):
+            for f in (invariant_density(annealed(eps, m0, m1)), series.at(eps)):
+                tail_error_bound(f)
+            digit_law(eps, series)
+    sizes = {name: fn.cache_info().currsize for name, fn in caches.items()}
+    assert sizes == dict.fromkeys(keys, 1)
+    for name, fn in caches.items():
+        kept = fn(*keys[name])  # a hit: the one entry is this key's
+        assert fn.cache_info().currsize == 1 and not kept.flags.writeable, name
+
+
 def test_kept_arrays_are_read_only():
-    # the basis caches, the collocation cache, the chop plans and ramps, the
-    # tail rows, the node values and the module constants are read-only,
-    # like the records
+    # the basis caches, the collocation cache, the tail rows, the node values
+    # and the module constants are read-only, like the records
     kept = [
         funcspace.values_to_coeffs_matrix(16),
         funcspace.coeffs_to_values_matrix(16),
@@ -368,9 +396,6 @@ def test_kept_arrays_are_read_only():
         ChebFn.constant(1.0, 16).values,
         funcspace.SUP_GRID,
         transfer._tail_row(17, transfer.DEFAULT_A_MAX),
-        transfer._SUP_T,
-        *funcspace._plateau_plan(40),
-        funcspace._bias_ramp(30),
         _solved(assemble_operator(MapKind.GAUSS, 16))._bordered_inv,
     ]
     assert [a.flags.writeable for a in kept] == [False] * len(kept)
