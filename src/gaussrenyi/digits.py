@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import Record, check_count, frozen_copy, warn
+from .maps import Record, check_count, check_unit, frozen_copy, warn
 
 __all__ = [
     "DigitCell", "DigitLaw", "NormalizationError", "digit_cells", "digit_law",
@@ -98,10 +98,11 @@ def digit_cells(n):
 def digit_probability(n, eps, series):
     """Limiting probability that a late digit equals n, at weight eps.
 
-    Sums the weighted cell integrals of the truncated density
-    expansion.  An inadmissible weight warns once, where ``series.at``
-    builds the density at eps, and the computation proceeds.
+    Sums the weighted cell integrals of the truncated density expansion;
+    eps outside [0, 1] raises ValueError.  An inadmissible weight warns once,
+    where ``series.at`` builds the density at eps, and the computation proceeds.
     """
+    check_unit("eps", eps)
     h = series.at(eps)
     total = 0.0
     for cell in digit_cells(n):

@@ -42,6 +42,7 @@ safe without locking.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -274,7 +275,7 @@ class ChebFn(Record):
         return lru_cache(maxsize=8)(lambda x: _clenshaw(anti, 2.0 * x - 1.0))
 
     def __call__(self, x):
-        if np.ndim(x) == 0:
+        if isinstance(x, float) or np.ndim(x) == 0:  # np.ndim costs 1.5 us on a float
             x = float(x)
             check_unit("argument", x)
             return _clenshaw(self._rlist, 2.0 * x - 1.0)
@@ -308,7 +309,7 @@ class ChebFn(Record):
         return linear_combo([(1.0, self), (-1.0, other)])
 
     def __mul__(self, scalar):
-        if not np.isscalar(scalar):
+        if not isinstance(scalar, numbers.Real):  # Python and NumPy reals; no str
             return NotImplemented
         return ChebFn(float(scalar) * self.coeffs)
 

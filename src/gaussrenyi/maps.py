@@ -81,11 +81,11 @@ class Record:
 
     Pickle and deepcopy pass the fields, keyword ones included, back to
     the constructor, so every kept array is a read-only copy again and
-    derived state is recomputed when first needed.
+    derived state, never a field, is recomputed when first needed.
     """
 
     def __reduce__(self):
-        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.init}
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         return _construct, (type(self), fields)
 
 

@@ -23,13 +23,14 @@ the test suite validate the resolvent-derivative identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .bounds import warn_if_inadmissible
 from .funcspace import ChebFn, linear_combo
-from .maps import check_count, check_degree
+from .maps import Record, check_count, check_degree
 from .transfer import _MEAN_LIMIT, _warn_outside_unit, resolvent_solve
 
 __all__ = [
@@ -39,19 +40,19 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class PerturbationSeries:
+class PerturbationSeries(Record):
     """Base density plus Taylor coefficients c_1..c_k of eps -> h_eps.
 
-    Equality and hashing are by identity, as for :class:`ChebFn`.
+    ``coeffs`` is kept as a tuple, so a caller's later writes to its list never
+    reach the series.  Equality and hashing are by identity, as for :class:`ChebFn`.
     """
 
     h0: ChebFn
     coeffs: tuple
     order: int
-    # (float(eps), h_eps) of the last evaluation, replaced as one tuple
-    _last: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if len(self.coeffs) != self.order:
             raise ValueError(
                 f"order {self.order} does not match {len(self.coeffs)} coefficients"
@@ -60,25 +61,24 @@ class PerturbationSeries:
     def at(self, eps):
         """Evaluate the truncated expansion at a mixture weight eps.
 
-        The last (float(eps), h_eps) pair is kept in a one-slot memo, so
-        repeated calls at one weight, as in a digit table, build h_eps and
-        its cached antiderivative once and return the same immutable
-        :class:`ChebFn`.  The memo is swapped as one tuple, so concurrent
-        readers see either the old pair or the new one, and it takes no
-        part in ``repr``.  An inadmissible eps warns once per h_eps built.
+        h_eps is kept for the last weight, so repeated calls at one
+        weight, as in a digit table, build h_eps and its cached
+        antiderivative once and return the same immutable
+        :class:`ChebFn`.  An inadmissible eps warns once per h_eps built.
         """
         if not eps >= 0.0:  # also catches NaN
             raise ValueError(f"mixture weight must be at least 0: {eps!r}")
-        eps = float(eps)
-        last = self._last
-        if last is not None and last[0] == eps:
-            return last[1]
-        warn_if_inadmissible(eps)
-        terms = [(1.0, self.h0)]
-        terms += [(eps ** (n + 1), c) for n, c in enumerate(self.coeffs)]
-        h = linear_combo(terms)
-        object.__setattr__(self, "_last", (eps, h))
-        return h
+        return self._at(float(eps))
+
+    @cached_property
+    def _at(self):
+        h0, coeffs = self.h0, self.coeffs  # the memo keeps no reference to self
+
+        def build(eps):  # warns under the C cache, so maps.warn finds the caller of at
+            warn_if_inadmissible(eps)
+            return linear_combo([(1.0, h0)] + [(eps**n, c) for n, c in enumerate(coeffs, 1)])
+
+        return lru_cache(maxsize=1)(build)
 
 
 def mixture_forcing_terms(h0, m1, order):

@@ -1,6 +1,7 @@
 """Gauss-Kuzmin law and the digit law of the random expansion."""
 
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -162,6 +163,17 @@ def test_probability_warns_out_of_range(series3):
     fresh = PerturbationSeries(series3.h0, series3.coeffs, 3)
     with pytest.warns(UserWarning, match="admissible"):
         digit_probability(1, 0.9, fresh)
+
+
+def test_probability_requires_a_probability(series3):
+    # the digit law weights its cells by (1 - eps) and eps, so eps outside
+    # [0, 1] is refused before any density is built, by both entry points
+    for eps in (1.5, -0.1, float("nan")):
+        message = f"eps outside [0, 1]: {eps!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            digit_probability(2, eps, series3)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            digit_law(eps, series3, 5)
 
 
 # -------------------------------------------------------------- digit law

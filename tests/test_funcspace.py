@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
@@ -82,8 +83,30 @@ def test_arithmetic_only_between_functions_and_scalars():
         f + 1.0
     with pytest.raises(TypeError):
         f - 1.0
-    with pytest.raises(TypeError):
-        f * f
+    # Python and NumPy reals, bool included, scale from either side; a
+    # string that float() would parse does not
+    for s in (2, 2.0, True, np.float64(2.0), np.int32(2), np.float32(2.0)):
+        want = [float(s)] + [0.0] * 4
+        assert (f * s).coeffs.tolist() == (s * f).coeffs.tolist() == want, repr(s)
+    for bad in (f, "2", 2j, None):
+        with pytest.raises(TypeError):
+            f * bad
+        with pytest.raises(TypeError):
+            bad * f
+
+
+def test_scalar_arguments_return_floats():
+    # float, int, NumPy float and 0-d array arguments take the scalar path:
+    # a float with chebval's bits, and the scalar message for a bad value
+    c = np.random.default_rng(48).standard_normal(129)
+    f = ChebFn(c)
+    for x in (0.3, 1, 0, np.float64(0.3), np.array(0.7)):
+        got = f(x)
+        assert type(got) is float and got == ncheb.chebval(2.0 * float(x) - 1.0, c), repr(x)
+    for bad in (1.5, -1, np.float64(-0.1), float("nan"), np.array(2.0)):
+        message = f"argument outside [0, 1]: {float(bad)!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            f(bad)
 
 
 def test_integrate_examples():

@@ -262,13 +262,29 @@ def test_at_memo_keeps_the_weight_check(series3):
     assert s.at(0.1) is h  # a refused weight leaves the memo alone
 
 
+def test_series_keeps_its_coefficients_from_a_list(series3):
+    # the caller's list is copied into a tuple, so a later write to the list
+    # changes neither the coefficients nor h_eps, memoised or built afterwards
+    given = list(series3.coeffs)
+    s = PerturbationSeries(series3.h0, given, 3)
+    h = s.at(0.3)
+    given[0] = 2.0 * given[0]
+    given.append(given[1])
+    assert type(s.coeffs) is tuple and len(s.coeffs) == 3
+    assert all(a is b for a, b in zip(s.coeffs, series3.coeffs))
+    assert s.at(0.3) is h
+    for eps in (0.1, 0.3):
+        want = PerturbationSeries(series3.h0, series3.coeffs, 3).at(eps)
+        assert s.at(eps).coeffs.tobytes() == want.coeffs.tobytes(), eps
+
+
 def test_at_memo_outside_equality_and_repr(series3):
     fresh = PerturbationSeries(series3.h0, series3.coeffs, 3)
     used = PerturbationSeries(series3.h0, series3.coeffs, 3)
     used.at(0.1)
     # equality and hashing are by identity, so the memo cannot enter them
     assert used == used and used != fresh and hash(used) == object.__hash__(used)
-    assert repr(used) == repr(fresh) and "_last" not in repr(used)
+    assert repr(used) == repr(fresh) and "_at" not in repr(used)
 
 
 def test_series_order_validation(h0_128, ops128):

@@ -331,18 +331,21 @@ def test_records_stay_read_only_through_pickle_and_deepcopy():
     f = ChebFn(np.random.default_rng(46).standard_normal(17))
     f(0.3), f(np.array([0.1, 0.9])), f.integrate_on(0.2, 0.7)
     m = _solved(annealed(0.3, *(assemble_operator(k, 16) for k in MapKind)))
+    s = PerturbationSeries(f, [f, 2.0 * f], 2)
+    s.at(0.3)
     records = [
         (f, lambda r: [r.coeffs, r.values]),
         (m, lambda r: [r.entries, r._bordered_inv]),
         (DigitLaw(0.1, 3, np.full(5, 0.2), 0.0), lambda r: [r.probs]),
         (EmpiricalLaw(np.arange(5, dtype=np.int64), 1), lambda r: [r.counts]),
         (DensityHistogram(np.full(4, 0.25)), lambda r: [r.masses]),
+        (s, lambda r: [r.at(0.3).coeffs]),
     ]
     for record, arrays in records:
         for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
             assert type(copied) is type(record) and copied is not record
             assert repr(copied) == repr(record)
-            assert not {"values", "_rlist", "_anti", "_bordered_inv"} & vars(copied).keys()
+            assert not {"values", "_rlist", "_anti", "_bordered_inv", "_at"} & vars(copied).keys()
             for got, want in zip(arrays(copied), arrays(record)):
                 assert not got.flags.writeable, type(record).__name__
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
