@@ -64,10 +64,14 @@ class PerturbationSeries(Record):
         h_eps is kept for the last weight, so repeated calls at one
         weight, as in a digit table, build h_eps and its cached
         antiderivative once and return the same immutable
-        :class:`ChebFn`.  An inadmissible eps warns once per h_eps built.
+        :class:`ChebFn`.  An inadmissible finite eps warns once per h_eps
+        built.  Raises ValueError, naming eps, when eps is NaN, negative or
+        infinite, or when a power eps^n or a term of the sum overflows.
         """
         if not eps >= 0.0:  # also catches NaN
             raise ValueError(f"mixture weight must be at least 0: {eps!r}")
+        if eps == math.inf:
+            raise ValueError(f"mixture weight must be finite: {eps!r}")
         return self._at(float(eps))
 
     @cached_property
@@ -76,7 +80,12 @@ class PerturbationSeries(Record):
 
         def build(eps):  # warns under the C cache, so maps.warn finds the caller of at
             warn_if_inadmissible(eps)
-            return linear_combo([(1.0, h0)] + [(eps**n, c) for n, c in enumerate(coeffs, 1)])
+            try:
+                with np.errstate(over="raise"):
+                    terms = [(eps**n, c) for n, c in enumerate(coeffs, 1)]
+                    return linear_combo([(1.0, h0)] + terms)
+            except ArithmeticError:  # OverflowError from eps**n, FloatingPointError from numpy
+                raise ValueError(f"mixture weight {eps!r} overflows the expansion") from None
 
         return lru_cache(maxsize=1)(build)
 

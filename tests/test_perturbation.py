@@ -262,6 +262,27 @@ def test_at_memo_keeps_the_weight_check(series3):
     assert s.at(0.1) is h  # a refused weight leaves the memo alone
 
 
+def test_at_refuses_a_non_finite_expansion_by_name(ops32):
+    m0, m1 = ops32
+    s = mixture_series(invariant_density(m0), m0, m1, 3)
+    h = s.at(0.1)
+    # an infinite weight is refused before the admissible-range warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"mixture weight must be finite: inf"):
+            s.at(float("inf"))
+    # a finite weight still warns, and eps**3 = 1e600 overflows
+    with pytest.warns(UserWarning, match="admissible range"):
+        with pytest.raises(ValueError, match=r"mixture weight 1e\+200 overflows"):
+            s.at(1e200)
+    # eps is a float, but the term eps c_1 overflows in the sum
+    big = PerturbationSeries(s.h0, (1e300 * s.coeffs[0],), 1)
+    with pytest.warns(UserWarning, match="admissible range"):
+        with pytest.raises(ValueError, match=r"mixture weight 10000000000.0 overflows"):
+            big.at(1e10)
+    assert s.at(0.1) is h
+
+
 def test_series_keeps_its_coefficients_from_a_list(series3):
     # the caller's list is copied into a tuple, so a later write to the list
     # changes neither the coefficients nor h_eps, memoised or built afterwards
