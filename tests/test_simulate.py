@@ -122,6 +122,9 @@ _GOLDEN_STREAM = [
      ([35169, 26545, 10826, 6025, 3773, 2715, 1966, 1585, 1197, 971], 9231)),
     ((100_003, 2, 10),
      ([31871, 25060, 10782, 6223, 4232, 3035, 2319, 1855, 1442, 1167], 12017)),
+    # a late index shortens the block to 2096 orbits while one draw takes
+    # 16 rows of 2000 uniforms: the digits fill a prefix of the draw buffer
+    ((4096, 2000, 10), ([1314, 1076, 422, 249, 190, 114, 74, 72, 56, 56], 473)),
 ]
 
 
@@ -172,13 +175,24 @@ def _peaks_over_samples(fn, arg, **config):
     ]
 
 
+def _check_digit_freq_memory(n_index, bound):
+    small, large = _peaks_over_samples(simulate_digit_freq, 100, n_index=n_index)
+    assert abs(large - small) < 256 * 2**10, (small, large)
+    assert max(small, large) < bound, (small, large)
+
+
 def test_digit_freq_memory_is_bounded():
     # the initial points are drawn block by block and the map choices in
-    # sub-blocks, held as bits for one block of orbits: a few block-sized
-    # buffers (1.7 MiB traced at index 20), whatever the sample count
-    small, large = _peaks_over_samples(simulate_digit_freq, 100, n_index=20)
-    assert abs(large - small) < 256 * 2**10, (small, large)
-    assert max(small, large) < 3 * 2**20, (small, large)
+    # sub-blocks, held as bits for one block of orbits; one float buffer
+    # takes each sub-block's draws and then the block's digits: the bits
+    # and two block-sized float buffers (1.22 MiB traced at index 20),
+    # whatever the sample count
+    _check_digit_freq_memory(20, 1.4 * 2**20)
+
+
+def test_digit_freq_memory_is_bounded_at_index_1():
+    # one row of bits: the two float buffers dominate (0.63 MiB traced)
+    _check_digit_freq_memory(1, 0.8 * 2**20)
 
 
 def test_digit_freq_memory_is_bounded_in_n_index():
