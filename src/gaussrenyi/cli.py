@@ -30,13 +30,16 @@ Exit codes:
 type, help, floor and, per subcommand, default and provenance position.
 The parser, the validation and the provenance header are built from them.
 Each handler returns its table, the header, the rows and the provenance
-fields it computed, and :func:`main` writes it.
+fields it computed, and ``_run`` writes it.  The rows may be any iterable,
+such as a ``zip`` over the handler's arrays; CSV is written line by line and
+JSON as it is encoded, so no table is held as text.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
+import itertools
 import json
 import sys
 import warnings
@@ -84,22 +87,19 @@ def _fmt(value):
 
 
 def _write_table(args, provenance, header, rows):
-    if args.format == "csv":
-        buf = io.StringIO()
-        for key, value in provenance.items():
-            buf.write(f"# {key}: {_fmt(value)}\n")
-        buf.write(",".join(header) + "\n")
-        for row in rows:
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
-        text = buf.getvalue()
-    else:
-        payload = {"provenance": provenance, "columns": header, "rows": rows}
-        text = json.dumps(payload, indent=2) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    dest = (contextlib.nullcontext(sys.stdout) if args.out == "-"
+            else open(args.out, "w", encoding="utf-8", newline="\n"))
+    with dest as fh:
+        if args.format == "csv":
+            for key, value in provenance.items():
+                fh.write(f"# {key}: {_fmt(value)}\n")
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(map(_fmt, row)) + "\n")
+        else:
+            payload = {"provenance": provenance, "columns": header, "rows": list(rows)}
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
 
 
 def _base_provenance(args, **computed):
@@ -129,8 +129,7 @@ def _cmd_density(args):
     xs = np.linspace(0.0, 1.0, args.grid)
     header = ["x", "h0"] + [f"c{n}" for n in range(1, args.order + 1)] + ["h_eps"]
     columns = [xs] + [f(xs) for f in printed]
-    rows = [list(vals) for vals in zip(*columns)]
-    return header, rows, {"tail_error_bound": bound, "residual_sup": res}
+    return header, zip(*columns), {"tail_error_bound": bound, "residual_sup": res}
 
 
 def _cmd_digits(args):
@@ -140,9 +139,10 @@ def _cmd_digits(args):
     header = ["N", "p_approx", "p_gauss_kuzmin"]
     gk = [gauss_kuzmin(n) for n in range(1, args.n_max + 1)]
     gk_tail = gauss_kuzmin_tail(args.n_max)
-    rows = [[n, float(law.probs[n - 1]), gk[n - 1]] for n in range(1, args.n_max + 1)]
-    rows.append(["tail", law.tail_mass, gk_tail])
-    rows.append(["total", float(law.probs.sum()) + law.tail_mass, sum(gk) + gk_tail])
+    rows = itertools.chain(zip(range(1, args.n_max + 1), law.probs, gk), [
+        ["tail", law.tail_mass, gk_tail],
+        ["total", float(law.probs.sum()) + law.tail_mass, sum(gk) + gk_tail],
+    ])
     return header, rows, {"tail_error_bound": bound}
 
 
@@ -170,12 +170,8 @@ def _cmd_convergence(args):
 
 def _cmd_bounds(args):
     header = ["i", "theta", "c", "eps_max"]
-    rows = []
-    for i in range(1, args.n_max + 1):
-        if i == 1:
-            rows.append([1, "", "", "deferred (i=1 case not covered by these bounds)"])
-        else:
-            rows.append([i, theta_bound(i), c_bound(i), eps_max(i)])
+    rows = [[1, "", "", "deferred (i=1 case not covered by these bounds)"]]
+    rows += ([i, theta_bound(i), c_bound(i), eps_max(i)] for i in range(2, args.n_max + 1))
     return header, rows, {}
 
 
@@ -187,19 +183,17 @@ def _cmd_simulate(args):
     freqs = law.frequencies()
     errs = law.std_errors()
     header = ["N", "count", "frequency", "std_error"]
-    rows = [
-        [n, int(law.counts[n - 1]), float(freqs[n - 1]), float(errs[n - 1])]
-        for n in range(1, args.n_max + 1)
-    ]
-    rows.append(["overflow", law.overflow, law.overflow / law.total, ""])
+    # JSON cannot encode numpy's integers
+    rows = itertools.chain(zip(range(1, args.n_max + 1), map(int, law.counts), freqs, errs),
+                           [["overflow", law.overflow, law.overflow / law.total, ""]])
     return header, rows, {}
 
 
 _SERIES = {"order": 3, "degree": DEFAULT_DEGREE, "a_max": DEFAULT_A_MAX}
 
 # subcommand -> (handler, help, defaults); a handler returns (header, rows,
-# computed provenance fields in order), and a defaults dict lists the
-# subcommand's flags in provenance order
+# computed provenance fields in order), its rows any iterable of rows, and a
+# defaults dict lists the subcommand's flags in provenance order
 _COMMANDS = {
     "density": (_cmd_density, "density expansion on a grid",
                 {"eps": 0.0, **_SERIES, "grid": 201}),

@@ -266,3 +266,45 @@ def test_stdout_output(capsys):
     captured = capsys.readouterr()
     assert "eps_max" in captured.out
     assert captured.out.startswith("# generator: gaussrenyi")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_matches_file(tmp_path, capsys, fmt):
+    # both destinations stream the same lines
+    args = ["density", "--eps", "0.05", "--grid", "2001", "--format", fmt] + FAST
+    code, out = run(tmp_path, f"d.{fmt}", args)
+    assert code == 0
+    capsys.readouterr()
+    assert main(args + ["--out", "-"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+_DENSITY = ["density", "--eps", "0.05"] + FAST
+_SIMULATE = ["simulate", "--samples", "1000", "--n-index", "1"]
+
+
+@pytest.mark.parametrize(
+    "args, size_flag, size, limit_mib",
+    [
+        (_DENSITY, "--grid", 20001, 2.5),
+        (_DENSITY + ["--format", "json"], "--grid", 20001, 7.0),
+        (_SIMULATE, "--n-max", 20000, 2.0),
+        (_SIMULATE + ["--format", "json"], "--n-max", 20000, 7.0),
+    ],
+    ids=["density-csv", "density-json", "simulate-csv", "simulate-json"],
+)
+def test_tables_are_written_as_formatted(tmp_path, args, size_flag, size, limit_mib):
+    # the rows are formatted from the handler's arrays straight into the
+    # destination; holding them as per-row lists and then as one text traced
+    # 9.4, 16.4, 4.9 and 11.1 MiB
+    import tracemalloc
+
+    assert run(tmp_path, "warm", args + [size_flag, "3"])[0] == 0
+    tracemalloc.start()
+    try:
+        code, _ = run(tmp_path, "long", args + [size_flag, str(size)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < limit_mib * 2**20, peak / 2**20
