@@ -259,10 +259,11 @@ def test_assembly_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
-@pytest.mark.parametrize("degree, limit_mib", [(128, 1.75), (512, 14.0)])
+@pytest.mark.parametrize("degree, limit_mib", [(128, 0.95), (512, 14.0)])
 def test_cold_build_peak_is_the_larger_half(degree, limit_mib):
-    # the branch block's (a_max, n) arrays are freed before the tail's (n, n)
-    # products are made; keeping both alive traced 2.3 and 18.1 MiB
+    # the branch block's (a_max, width) arrays are freed before the tail's
+    # (n, n) products are made; keeping both alive traced 2.3 and 18.1 MiB,
+    # and one (a_max, n) block for every node traced 1.39 MiB at degree 128
     import tracemalloc
 
     transfer._collocation_matrix(degree, transfer.DEFAULT_A_MAX)  # warms the basis caches
@@ -274,6 +275,50 @@ def test_cold_build_peak_is_the_larger_half(degree, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak < limit_mib * 2**20
+
+
+def test_large_a_max_costs_time_not_memory():
+    # the branch sum walks the nodes in blocks of at most _BLOCK elements
+    # (16 nodes at least); one (a_max, n) block for every node traced 40.5 MiB
+    import tracemalloc
+
+    transfer._collocation_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        assemble_operator(MapKind.GAUSS, 128, a_max=8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("degree, a_max, blocks", [(16, 256, 1), (128, 256, 3), (512, 256, 9),
+                                                   (128, 8192, 8)])
+def test_node_blocks_keep_the_bits(monkeypatch, degree, a_max, blocks):
+    # numpy sums axis 0 of a block at least two columns wide row by row, as
+    # it sums the whole (a_max, n) array; a one-column block is summed pairwise
+    widths = []
+    split = np.array_split
+
+    def recorded(nodes, sections):
+        parts = split(nodes, sections)
+        widths.extend(len(part) for part in parts)
+        return parts
+
+    monkeypatch.setattr(np, "array_split", recorded)
+    y = funcspace.chebyshev_nodes(degree)
+    B = transfer._branch_block(y, a_max)
+    assert len(widths) == blocks and sum(widths) == degree + 1 and min(widths) >= 2
+    # the recurrence of the branch sum, over every node at once
+    a = np.arange(1, a_max + 1, dtype=float)[:, None]
+    w = 1.0 / (a + y) ** 2
+    t = 2.0 * (1.0 / (a + y)) - 1.0
+    one_block = np.empty_like(B)
+    T_prev, T = t, np.ones_like(t)
+    for k in range(degree + 1):
+        one_block[:, k] = (w * T).sum(0)
+        T_prev, T = T, T * (2.0 * t) - T_prev
+    assert np.array_equal(B, one_block)
 
 
 def test_one_cached_matrix_serves_both_maps():
