@@ -38,11 +38,12 @@ runs one ``np.linalg.solve``.  The k resolvent solves of an order-k
 series share one matrix, so :func:`resolvent_solve` inverts the bordered
 matrix once per :class:`OperatorMatrix`, as the record's cached property
 (its size is in the record's docstring), and answers every later solve
-with mat-vecs.  Both pass one residual gate and return their solution
-chopped at its rounding plateau, with the mass or mean kept.  A fixed
-density's negativity is decided on the grid ``SUP_GRID``; a bound on its
-Chebyshev coefficients settles most densities without the full grid sum
-(:func:`invariant_density` states the heads it sums and the eps each settles).
+with mat-vecs.  Both pass one residual gate, max|u - M u - g| at most
+1e-12 max(1, max|u|), and return their solution chopped at its rounding
+plateau, with the mass or mean kept.  A fixed density's negativity is
+decided on the grid ``SUP_GRID``, through :class:`ChebFn` evaluation; a bound
+on its Chebyshev coefficients settles most densities without the full grid
+sum (:func:`invariant_density` states the heads it sums and the eps each settles).
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .funcspace import (
     DEFAULT_DEGREE,
     SUP_GRID,
     ChebFn,
-    _clenshaw,
     chebyshev_nodes,
     chop_length,
     chopped,
@@ -77,8 +77,7 @@ __all__ = [
 ]
 
 DEFAULT_A_MAX = 256  # branch cutoff of the Euler-Maclaurin tail: branches a <= a_max are summed
-_RESIDUAL_LIMIT = 1e-12
-_RESOLVENT_LIMIT = 1e-9
+_RESIDUAL_LIMIT = 1e-12  # largest residual of a solve, relative to max(1, max|u|)
 _NEGATIVE_LIMIT = -1e-10
 _MEAN_LIMIT = 1e-10  # largest |mean| of a right-hand side on the zero-mean subspace
 _HEAD = 8  # coefficients in the shortest head of the negativity certificate
@@ -133,13 +132,13 @@ def _branch_block(y, a_max):
     about _BLOCK / a_max nodes, but never fewer than 16 (one block below 32
     nodes), so a large a_max costs time rather than memory: at a_max 256
     there are 3, 5 and 9 blocks at degrees 128, 256 and 512.  Each block
-    steps the recurrence in one scratch buffer, five (a_max, width) arrays,
-    and sums them down the branches.  numpy sums axis 0 of an array at least
-    two columns wide row by row, as it does the whole (a_max, n) array, so
-    the block keeps every bit; a one-column block would be summed pairwise.
-    The branch sum traces 0.76, 1.24 and 2.81 MiB at degrees 128, 256 and
-    512 (1.39, 3.02 and 7.03 unblocked), and 7.5 MiB at degree 128 with
-    a_max 8192 (40.5 unblocked).
+    steps the weighted recurrence P_(k+1) = 2t P_k - P_(k-1) on P_k = w T_k,
+    from P_0 = w and P_(-1) = w T_1, in one scratch buffer, four
+    (a_max, width) arrays, and sums each P_k down the branches.  numpy sums
+    axis 0 of an array at least two columns wide row by row, as it does the
+    whole (a_max, n) array, so the block keeps every bit; a one-column block
+    would be summed pairwise.  The branch sum traces 0.68, 1.24 and 2.70 MiB
+    at degrees 128, 256 and 512, and 6.4 MiB at degree 128 with a_max 8192.
     """
     n = len(y)
     a = np.arange(1, a_max + 1, dtype=float)[:, None]
@@ -147,15 +146,15 @@ def _branch_block(y, a_max):
     blocks = max(1, min(n // 16, math.ceil(n * a_max / _BLOCK)))
     for nodes in np.array_split(np.arange(n), blocks):
         lo, hi = nodes[0], nodes[-1] + 1
-        w = 1.0 / (a + y[None, lo:hi]) ** 2
+        P = 1.0 / (a + y[None, lo:hi]) ** 2
         t = 2.0 * (1.0 / (a + y[None, lo:hi])) - 1.0
         two_t = 2.0 * t
         buf = np.empty_like(t)
-        T_prev, T = t, np.ones_like(t)  # T_{-1} = T_1, so T_1 = 2t - t
+        P_prev = np.multiply(P, t, out=t)  # P_(-1) = w T_1, so P_1 = 2t w - w t
         for k in range(n):
-            B[lo:hi, k] = np.multiply(w, T, out=buf).sum(0)
-            np.subtract(np.multiply(T, two_t, out=buf), T_prev, out=buf)
-            T_prev, T, buf = T, buf, T_prev
+            B[lo:hi, k] = P.sum(0)
+            np.subtract(np.multiply(P, two_t, out=buf), P_prev, out=buf)
+            P_prev, P, buf = P, buf, P_prev
     return B
 
 
@@ -305,11 +304,17 @@ def _bordered(linalg_op, m, *args):
         raise ConvergenceError(f"bordered system is singular: {exc}") from exc
 
 
-def _gated(m, u, g, name, limit):
-    """u chopped, or ConvergenceError if max|u - M u - g| exceeds limit or is NaN."""
+def _gated(m, u, g, name):
+    """u chopped, or ConvergenceError if max|u - M u - g| > 1e-12 max(1, max|u|) or is NaN.
+
+    The residual of a sound solve scales with max|u|, which reaches 9.4e4
+    for the fixed density at eps = 1 and degree 512; the floor of 1 keeps
+    the gate absolute for the small solutions of the resolvent.
+    """
     res = float(np.max(np.abs(u - m.entries @ u - g)))
+    limit = _RESIDUAL_LIMIT * max(1.0, float(np.max(np.abs(u))))
     if not res <= limit:  # also catches a NaN residual
-        raise ConvergenceError(f"{name} residual {res:.3e} exceeds {limit:g}")
+        raise ConvergenceError(f"{name} residual {res:.3e} exceeds {limit:.3e}")
     return chopped(ChebFn.from_values(u))
 
 
@@ -319,7 +324,8 @@ def _certified_positive(c):
     |T_k| <= 1 on [0, 1], so h >= head - sum_(k >= m) |c_k| for its head
     c_0..c_(m-1).  The head length m is the shortest of 8, 16, 32, ...
     below the degree whose tail sum is at most |c_0| / 8, or 8 when none
-    is, the cheapest try; only those m terms are summed on the grid.
+    is, the cheapest try; only those m terms are summed on the grid, by
+    the :class:`ChebFn` evaluation that the full grid sum uses too.
     """
     a = np.abs(c)
     m = _HEAD
@@ -328,7 +334,7 @@ def _certified_positive(c):
             m = _HEAD
             break
         m *= 2
-    head = _clenshaw(c[m - 1 :: -1].tolist(), 2.0 * SUP_GRID - 1.0)
+    head = ChebFn(c[:m])(SUP_GRID)
     return float(np.min(head)) > float(np.sum(a[m:]))
 
 
@@ -341,9 +347,9 @@ def invariant_density(m):
     standardChop plateau are set to zero and their exact integral is
     added onto c_0, so the mass stays 1 to rounding.  The negativity
     screen judges, and the function returns, the chopped density.
-    Raises ConvergenceError when the system is
-    singular, when the fixed-point residual exceeds 1e-12 or when the
-    density dips below -1e-10 on the sup-norm grid ``SUP_GRID``.
+    Raises ConvergenceError when the system is singular, when the
+    fixed-point residual max|v - M v| exceeds 1e-12 max(1, max|v|) or when
+    the density dips below -1e-10 on the sup-norm grid ``SUP_GRID``.
     Negativity is decided in two steps.  First a certificate: the head
     c_0..c_(m-1) is summed on the grid for the shortest m of 8, 16, 32, ...
     below the degree whose tail, the sum of |c_k| over k >= m, is at most
@@ -363,7 +369,7 @@ def invariant_density(m):
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
     v = _bordered(np.linalg.solve, m, rhs)[:n]
-    h = _gated(m, v, 0.0, "fixed-point", _RESIDUAL_LIMIT)
+    h = _gated(m, v, 0.0, "fixed-point")
     if _certified_positive(h.coeffs):
         return h
     grid_min = float(np.min(h(SUP_GRID)))
@@ -380,7 +386,8 @@ def resolvent_solve(m, g):
     first solve on a record computes its cached property, the read-only
     inverse of the bordered matrix, (degree + 2)^2 floats.  Every solve then
     applies the inverse twice, the second time in one refinement step,
-    and meets the 1e-9 residual gate.  The solution is then returned
+    and meets the residual gate of :func:`invariant_density`,
+    max|u - M u - g| at most 1e-12 max(1, max|u|).  The solution is then returned
     chopped (:func:`~gaussrenyi.funcspace.chopped`): its coefficients
     past the standardChop plateau are set to zero and their exact
     integral is added onto c_0, so the mean stays 0 to rounding.  Raises
@@ -400,4 +407,4 @@ def resolvent_solve(m, g):
     u, c = x[:n], x[n]
     r = rhs - np.append(u - m.entries @ u + c, quadrature_weights(m.degree) @ u)
     u = (x + inv @ r)[:n]
-    return _gated(m, u, g.values, "resolvent", _RESOLVENT_LIMIT)
+    return _gated(m, u, g.values, "resolvent")
