@@ -397,7 +397,7 @@ def test_records_stay_read_only_through_pickle_and_deepcopy():
     s.at(0.3)
     records = [
         (f, lambda r: [r.coeffs, r.values]),
-        (m, lambda r: [r.entries, r._bordered_inv]),
+        (m, lambda r: [r.entries, r._deflated_inv]),
         (DigitLaw(0.1, 3, np.full(5, 0.2), 0.0), lambda r: [r.probs]),
         (EmpiricalLaw(np.arange(5, dtype=np.int64), 1), lambda r: [r.counts]),
         (DensityHistogram(np.full(4, 0.25)), lambda r: [r.masses]),
@@ -407,7 +407,7 @@ def test_records_stay_read_only_through_pickle_and_deepcopy():
         for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
             assert type(copied) is type(record) and copied is not record
             assert repr(copied) == repr(record)
-            assert not {"values", "_rlist", "_anti", "_bordered_inv", "_at"} & vars(copied).keys()
+            assert not {"values", "_rlist", "_anti", "_deflated_inv", "_at"} & vars(copied).keys()
             for got, want in zip(arrays(copied), arrays(record)):
                 assert not got.flags.writeable, type(record).__name__
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -461,7 +461,7 @@ def test_kept_arrays_are_read_only():
         ChebFn.constant(1.0, 16).values,
         funcspace.SUP_GRID,
         transfer._tail_row(17, transfer.DEFAULT_A_MAX),
-        _solved(assemble_operator(MapKind.GAUSS, 16))._bordered_inv,
+        _solved(assemble_operator(MapKind.GAUSS, 16))._deflated_inv,
     ]
     assert [a.flags.writeable for a in kept] == [False] * len(kept)
 
@@ -556,12 +556,11 @@ def test_chop_keeps_mass_and_mean_and_settles(degree):
     # its solve and a series coefficient its zero mean, and a solved
     # function chopped again is unchanged
     m0, m1 = (assemble_operator(kind, degree) for kind in (MapKind.GAUSS, MapKind.RENYI))
-    n = degree + 1
-    rhs = np.append(np.zeros(n), 1.0)
+    rhs = np.ones(degree + 1)
     for eps in (0.0, 0.3, 0.6, 0.8):
         m = annealed(eps, m0, m1)
         h = invariant_density(m)
-        solved = ChebFn.from_values(np.linalg.solve(transfer._bordered_matrix(m), rhs)[:n])
+        solved = ChebFn.from_values(np.linalg.solve(transfer._deflated_matrix(m), rhs))
         assert abs(h.integrate() - solved.integrate()) <= 1e-15, eps
         assert abs(h.integrate() - 1.0) <= 1e-15, eps
         assert np.array_equal(funcspace.chopped(h).coeffs, h.coeffs), eps
@@ -609,13 +608,12 @@ def test_negativity_decided_by_the_grid(degree, ops32, ops128):
     # the coefficient certificate only skips the grid sum: the chopped
     # density is returned exactly when it stays above -1e-10 on SUP_GRID
     m0, m1 = ops32 if degree == 32 else ops128
-    n = degree + 1
-    rhs = np.append(np.zeros(n), 1.0)
+    rhs = np.ones(degree + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # eps above eps_max(2)
         for eps in (0.0, 0.3, 0.6, 0.8, 0.85, 0.9, 0.95, 0.99, 1.0):
             m = annealed(eps, m0, m1)
-            v = np.linalg.solve(transfer._bordered_matrix(m), rhs)[:n]
+            v = np.linalg.solve(transfer._deflated_matrix(m), rhs)
             solved = funcspace.chopped(ChebFn.from_values(v))
             grid_min = float(np.min(solved(funcspace.SUP_GRID)))
             if grid_min >= -1e-10:
@@ -686,7 +684,7 @@ def test_certificate_is_sound(grid_calls, degree, tail, accepted, grid_sums):
 
 
 def test_invariant_density_rejects_bad_operator():
-    # the negated identity has no fixed density; the bordered solve
+    # the negated identity has no fixed density; the deflated solve
     # returns a point whose residual violates the contract
     bad = OperatorMatrix(-np.eye(9))
     with pytest.raises(ConvergenceError):
@@ -770,7 +768,7 @@ def test_resolvent_random_and_neumann(ops128):
 
 
 def _solved(m):
-    # a record after one resolvent solve, so it holds its bordered inverse
+    # a record after one resolvent solve, so it holds its deflated inverse
     resolvent_solve(m, ChebFn(np.eye(m.degree + 1)[1]))  # T_1(2x - 1) has zero mean
     return m
 
@@ -788,19 +786,19 @@ def test_resolvent_inverts_once_per_operator(monkeypatch):
     h0 = invariant_density(m0)
     mixture_series(h0, m0, m1, 20)
     response_table(mixture_forcing_terms(h0, m1, 20), m0, m1, 20)
-    assert calls == [(130, 130)]
+    assert calls == [(129, 129)]
 
 
-def test_bordered_inverse_is_private_to_its_record():
+def test_deflated_inverse_is_private_to_its_record():
     a, b = assemble_operator(MapKind.GAUSS, 32), assemble_operator(MapKind.GAUSS, 32)
-    assert "_bordered_inv" not in vars(a) and "_bordered_inv" not in vars(b)
-    inv = _solved(a)._bordered_inv
-    assert "_bordered_inv" not in vars(b)
+    assert "_deflated_inv" not in vars(a) and "_deflated_inv" not in vars(b)
+    inv = _solved(a)._deflated_inv
+    assert "_deflated_inv" not in vars(b)
     # a second solve on the record reads the same inverse object
-    assert _solved(a)._bordered_inv is inv
+    assert _solved(a)._deflated_inv is inv
     # the memo takes no part in repr, and equality is identity
     assert a == a and a != b and hash(a) == object.__hash__(a)
-    assert repr(a) == repr(b) and "_bordered_inv" not in repr(a)
+    assert repr(a) == repr(b) and "_deflated_inv" not in repr(a)
 
 
 def test_resolvent_rejects_singular_system():
@@ -810,15 +808,15 @@ def test_resolvent_rejects_singular_system():
 
 @pytest.mark.parametrize("degree", [32, 512])
 def test_stored_inverse_agrees_with_solve(degree):
-    # the stored inverse answers what a fresh solve of the bordered system
+    # the stored inverse answers what a fresh solve of the deflated system
     # does, both chopped, and its refinement step keeps the mean as small
     # as the solve's
     m0, m1 = (assemble_operator(kind, degree) for kind in (MapKind.GAUSS, MapKind.RENYI))
-    B = transfer._bordered_matrix(m0)
+    A = transfer._deflated_matrix(m0)
     g = mixture_forcing_terms(invariant_density(m0), m1, 1)[0]
     for _ in range(2):  # the first solve inverts, the second reads the memo
         u = resolvent_solve(m0, g)
-        direct = np.linalg.solve(B, np.append(g.values, 0.0))[:-1]
+        direct = np.linalg.solve(A, g.values)
         want = funcspace.chopped(ChebFn.from_values(direct))
         assert np.max(np.abs(u.values - want.values)) < 1e-13
         assert abs(u.integrate()) < 2e-16
@@ -828,3 +826,30 @@ def test_stored_inverse_agrees_with_solve(degree):
 def test_resolvent_mean_precondition(ops128):
     with pytest.raises(ValueError, match="zero mean"):
         resolvent_solve(ops128[0], ChebFn.constant(0.3, degree=128))
+
+
+def test_resolvent_mean_is_judged_by_the_precondition_alone(ops128):
+    # a mean below 1e-10 is taken off before the solve, so the residual gate
+    # does not read it as a numerical failure; the mean itself was the
+    # residual when the solve was gated against g with its mean
+    m0 = ops128[0]
+    t1 = ChebFn(np.eye(129)[1])  # T_1(2x - 1) has zero mean
+    want = resolvent_solve(m0, t1)
+    for mu in (2e-12, 1e-11, 5e-11):
+        u = resolvent_solve(m0, t1 + ChebFn.constant(mu, degree=128))
+        assert np.max(np.abs(u.values - want.values)) <= 1e-15, mu
+        assert abs(u.integrate()) < 2e-16, mu
+    with pytest.raises(ValueError, match="zero mean"):
+        resolvent_solve(m0, t1 + ChebFn.constant(2e-10, degree=128))
+
+
+@pytest.mark.parametrize("degree", [32, 128])
+def test_one_matrix_serves_both_solves(degree):
+    # the cached inverse of I - M + 1q maps the constant 1 to the fixed
+    # density, and q is a left fixed row of that matrix
+    m0 = assemble_operator(MapKind.GAUSS, degree)
+    h = invariant_density(m0)
+    inv = _solved(m0)._deflated_inv
+    assert np.max(np.abs(inv @ np.ones(degree + 1) - h.values)) <= 1e-13
+    q = funcspace.quadrature_weights(degree)
+    assert np.max(np.abs(q @ transfer._deflated_matrix(m0) - q)) <= 1e-15
