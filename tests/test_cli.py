@@ -5,9 +5,11 @@ import math
 
 import pytest
 
+from cli_checks import SMOKE
 from gaussrenyi import (
-    MapKind, assemble_operator, invariant_density, mixture_series, tail_error_bound,
+    MapKind, assemble_operator, eps_max, invariant_density, mixture_series, tail_error_bound,
 )
+from gaussrenyi import cli
 from gaussrenyi.cli import main
 
 FAST = ["--degree", "64", "--a-max", "64", "--order", "2"]
@@ -202,6 +204,20 @@ def test_validation_exit_code(tmp_path, capsys):
     for args, message in cases:
         assert main(args) == 1, args
         assert message in capsys.readouterr().err, args
+
+
+def test_smoke_list_is_well_formed():
+    # the list that cli_checks.py smoke runs: a mistyped flag fails here, not
+    # after a run of every command; a density or digit table warns once
+    # exactly where eps lies past eps_max(2), and the other tables never warn
+    assert len({table for table, _, _ in SMOKE}) == len(SMOKE)
+    for table, argv, warnings in SMOKE:
+        args = cli._build_parser().parse_args(argv.split())
+        cli._validate(args)
+        if args.command in ("density", "digits"):
+            assert warnings == int(args.eps > eps_max(2)), table
+        else:
+            assert warnings == 0, table
 
 
 def test_unallocatable_configuration_exit_code(capsys):

@@ -809,8 +809,7 @@ def test_resolvent_rejects_singular_system():
 @pytest.mark.parametrize("degree", [32, 512])
 def test_stored_inverse_agrees_with_solve(degree):
     # the stored inverse answers what a fresh solve of the deflated system
-    # does, both chopped, and its refinement step keeps the mean as small
-    # as the solve's
+    # does, both chopped, and keeps the mean as small as the solve's
     m0, m1 = (assemble_operator(kind, degree) for kind in (MapKind.GAUSS, MapKind.RENYI))
     A = transfer._deflated_matrix(m0)
     g = mixture_forcing_terms(invariant_density(m0), m1, 1)[0]
