@@ -17,7 +17,6 @@ from gaussrenyi import (
     invariant_density,
     mixture_series,
     norm_sup,
-    residual,
 )
 
 # collocation degree 128 and 256 explicit branches resolve everything
@@ -41,7 +40,7 @@ for eps in (0.01, 0.05, 0.1, 0.2):
     h_eps = series.at(eps)
     reference = invariant_density(annealed(eps, m0, m1))
     gap = norm_sup(h_eps - reference)
-    res = residual(eps, h_eps, m0, m1)
+    res = series.residual(eps)
     print(f"{eps:5.2f}   {gap:12.3e}          {res:12.3e}")
 
 # the density tilts mass toward x = 1 as the Renyi map enters the mix

@@ -10,13 +10,11 @@ import numpy as np
 
 from gaussrenyi import (
     MapKind,
-    PerturbationSeries,
     annealed,
     assemble_operator,
     invariant_density,
     mixture_series,
     norm_sup,
-    residual,
 )
 
 m0 = assemble_operator(MapKind.GAUSS, 128)
@@ -29,14 +27,14 @@ references = {eps: invariant_density(annealed(eps, m0, m1)) for eps in eps_grid}
 
 print(" k   eps     sup error      residual     fitted slope")
 for k in (1, 2, 3):
-    truncated = PerturbationSeries(series.h0, series.coeffs[:k], k)
+    truncated = series.truncated(k)
     errors = []
     for eps in eps_grid:
         h_k = truncated.at(eps)
         errors.append(norm_sup(h_k - references[eps]))
     slope = np.polyfit(np.log(eps_grid), np.log(errors), 1)[0]
     for eps, err in zip(eps_grid, errors):
-        res = residual(eps, truncated.at(eps), m0, m1)
+        res = truncated.residual(eps)
         print(f"{k:2d}  {eps:5.2f}   {err:11.3e}   {res:11.3e}     {slope:6.3f}")
     print()
 

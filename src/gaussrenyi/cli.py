@@ -51,7 +51,7 @@ from .bounds import c_bound, eps_max, theta_bound
 from .digits import digit_law, gauss_kuzmin, gauss_kuzmin_tail
 from .funcspace import DEFAULT_DEGREE, SUP_GRID
 from .maps import MapKind, check_count, check_unit
-from .perturbation import mixture_series, residual
+from .perturbation import mixture_series
 from .simulate import SimConfig, simulate_digit_freq
 from .transfer import (
     DEFAULT_A_MAX, annealed, assemble_operator, invariant_density, tail_error_bound,
@@ -116,14 +116,13 @@ def _base_provenance(args, **computed):
 def _series_pipeline(args):
     m0 = assemble_operator(MapKind.GAUSS, args.degree, args.a_max)
     m1 = assemble_operator(MapKind.RENYI, args.degree, args.a_max)
-    h0 = invariant_density(m0)
-    return m0, m1, mixture_series(h0, m0, m1, args.order)
+    return mixture_series(invariant_density(m0), m0, m1, args.order)
 
 
 def _cmd_density(args):
-    m0, m1, series = _series_pipeline(args)
+    series = _series_pipeline(args)
     h_eps = series.at(args.eps)
-    res = residual(args.eps, h_eps, m0, m1)
+    res = series.residual(args.eps)
     printed = [series.h0, *series.coeffs, h_eps]
     bound = max(tail_error_bound(f, args.a_max) for f in printed)
     xs = np.linspace(0.0, 1.0, args.grid)
@@ -133,7 +132,7 @@ def _cmd_density(args):
 
 
 def _cmd_digits(args):
-    _, _, series = _series_pipeline(args)
+    series = _series_pipeline(args)
     law = digit_law(args.eps, series, args.n_max)
     bound = tail_error_bound(series.at(args.eps), args.a_max)
     header = ["N", "p_approx", "p_gauss_kuzmin"]
@@ -147,20 +146,20 @@ def _cmd_digits(args):
 
 
 def _cmd_convergence(args):
-    m0, m1, series = _series_pipeline(args)
+    series = _series_pipeline(args)
     bound = tail_error_bound(series.h0, args.a_max)
-    references = {eps: invariant_density(annealed(eps, m0, m1))(SUP_GRID)
+    references = {eps: invariant_density(annealed(eps, series.m0, series.m1))(SUP_GRID)
                   for eps in _CONVERGENCE_GRID}
     header = ["eps", "k", "sup_error_vs_reference", "residual", "fitted_slope"]
     rows = []
     for k in range(1, args.order + 1):
-        truncated = type(series)(series.h0, series.coeffs[:k], k)
+        truncated = series.truncated(k)
         errors = []
         residuals = []
         for eps in _CONVERGENCE_GRID:
             h_k = truncated.at(eps)
             errors.append(float(np.max(np.abs(h_k(SUP_GRID) - references[eps]))))
-            residuals.append(residual(eps, h_k, m0, m1))
+            residuals.append(truncated.residual(eps))
         slope = float(np.polyfit(np.log(_CONVERGENCE_GRID), np.log(errors), 1)[0])
         for eps, err, res in zip(_CONVERGENCE_GRID, errors, residuals):
             rows.append([eps, k, err, res, slope])

@@ -308,13 +308,45 @@ def test_at_memo_outside_equality_and_repr(series3):
     assert repr(used) == repr(fresh) and "_at" not in repr(used)
 
 
-def test_series_order_validation(h0_128, ops128):
+def test_series_order_validation(h0_128, ops128, series3):
     with pytest.raises(ValueError):
         mixture_series(h0_128, *ops128, order=0)
     with pytest.raises(ValueError):
         PerturbationSeries(h0_128, (), 2)
+    with pytest.raises(TypeError):  # the order is a count, so an integer
+        PerturbationSeries(h0_128, series3.coeffs, 3.0)
     with pytest.raises(ValueError, match="degree mismatch"):
         residual(0.1, ChebFn.constant(1.0, 8), *ops128)
+
+
+# ------------------------------------------------------ the series' operators
+
+
+def test_truncated_keeps_the_operators(series3):
+    for k in range(series3.order + 1):
+        t = series3.truncated(k)
+        assert t.order == k and t.coeffs == series3.coeffs[:k]
+        assert t.m0 is series3.m0 and t.m1 is series3.m1
+    with pytest.raises(ValueError, match="does not match"):
+        series3.truncated(series3.order + 1)
+
+
+def test_residual_needs_the_operators(series3):
+    with pytest.raises(ValueError, match="mixture_series"):
+        PerturbationSeries(series3.h0, series3.coeffs, 3).residual(0.1)
+
+
+@pytest.mark.parametrize("ops", ["ops32", "ops128"])
+def test_truncated_matches_the_positional_rebuild_bit_for_bit(ops, request):
+    m0, m1 = request.getfixturevalue(ops)
+    series = mixture_series(invariant_density(m0), m0, m1, 3)
+    for k in range(series.order + 1):
+        truncated = series.truncated(k)
+        rebuilt = PerturbationSeries(series.h0, series.coeffs[:k], k)
+        for eps in (0.01, 0.1, 0.5):
+            want = rebuilt.at(eps)
+            assert truncated.at(eps).coeffs.tobytes() == want.coeffs.tobytes(), (k, eps)
+            assert truncated.residual(eps) == residual(eps, want, m0, m1), (k, eps)
 
 
 # -------------------------------------------------------------- residual

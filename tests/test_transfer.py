@@ -392,16 +392,18 @@ def test_records_stay_read_only_through_pickle_and_deepcopy():
     # and its derived state is recomputed when first needed
     f = ChebFn(np.random.default_rng(46).standard_normal(17))
     f(0.3), f(np.array([0.1, 0.9])), f.integrate_on(0.2, 0.7)
-    m = _solved(annealed(0.3, *(assemble_operator(k, 16) for k in MapKind)))
-    s = PerturbationSeries(f, [f, 2.0 * f], 2)
+    ops = [assemble_operator(k, 16) for k in MapKind]
+    m = _solved(annealed(0.3, *ops))
+    s = PerturbationSeries(f, [f, 2.0 * f], 2, m0=ops[0], m1=ops[1])
     s.at(0.3)
+    assert "m0" not in repr(s) and "OperatorMatrix" not in repr(s)  # no matrix printed
     records = [
         (f, lambda r: [r.coeffs, r.values]),
         (m, lambda r: [r.entries, r._deflated_inv]),
         (DigitLaw(0.1, 3, np.full(5, 0.2), 0.0), lambda r: [r.probs]),
         (EmpiricalLaw(np.arange(5, dtype=np.int64), 1), lambda r: [r.counts]),
         (DensityHistogram(np.full(4, 0.25)), lambda r: [r.masses]),
-        (s, lambda r: [r.at(0.3).coeffs]),
+        (s, lambda r: [r.at(0.3).coeffs, r.m0.entries, r.m1.entries]),
     ]
     for record, arrays in records:
         for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
