@@ -19,16 +19,11 @@ does not cover it.  :func:`hurwitz_zeta` is the package's one zeta summation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+import math
 
 from .maps import check_count, warn
 
-__all__ = [
-    "LasotaYorkeBounds", "c_bound", "eps_max", "hurwitz_zeta", "lasota_yorke_bounds",
-    "theta_bound",
-]
+__all__ = ["c_bound", "eps_max", "hurwitz_zeta", "theta_bound"]
 
 # B_2j / (2j)! for j = 1..8, the Euler-Maclaurin correction coefficients
 _BERNOULLI_OVER_FACTORIAL = (
@@ -51,24 +46,25 @@ def hurwitz_zeta(s, q):
     half-term and eight Bernoulli corrections at x = q + 12 (the
     Euler-Maclaurin formula, DLMF 2.10.1, on the series DLMF 25.11.1),
     which leaves a remainder far below double rounding for s >= 2 and
-    q >= 1.  Vectorised over q; s and q must be finite.
+    q >= 1.  s and q are real scalars and must be finite; the result is a float.
     """
-    if not 1 < s < np.inf:  # also catches NaN
+    if not 1 < s < math.inf:  # also catches NaN
         raise ValueError(f"exponent must be finite and exceed 1: {s!r}")
-    qa = np.asarray(q, dtype=float)
-    if not np.all((qa > 0) & (qa < np.inf)):
+    if not 0 < q < math.inf:
         raise ValueError("offset must be finite and exceed 0")
-    s = float(s)
-    x = qa + _EXPLICIT_TERMS
+    s, q = float(s), float(q)
+    x = q + _EXPLICIT_TERMS
     xs = x**-s
     out = x * xs / (s - 1.0) + 0.5 * xs
     rising = s * xs / x  # s (s+1) ... (s+2j-2) x^(-s-2j+1) at j = 1
     for j, b in enumerate(_BERNOULLI_OVER_FACTORIAL, start=1):
-        out = out + b * rising
+        if rising == 0.0:  # x^(-s) underflowed; past s = 1.3e154 the factor below is inf
+            break
+        out += b * rising
         rising = rising * ((s + 2 * j - 1) * (s + 2 * j)) / (x * x)
     for a in range(_EXPLICIT_TERMS - 1, -1, -1):  # smallest terms first
-        out = out + (qa + a) ** -s
-    return float(out) if np.isscalar(q) else out
+        out += (q + a) ** -s
+    return out
 
 
 def theta_bound(i):
@@ -87,20 +83,6 @@ def c_bound(i):
 def eps_max(i):
     """Largest admissible Renyi weight, (1 - theta) / (c - theta), c - theta = 1 - 4^(-i)."""
     return (1.0 - theta_bound(i)) / (1.0 - 0.25**i)
-
-
-@dataclass(frozen=True)
-class LasotaYorkeBounds:
-    """Contraction constants for a given smoothness index."""
-
-    smoothness: int
-    theta: float
-    c: float
-    eps_max: float
-
-
-def lasota_yorke_bounds(i):
-    return LasotaYorkeBounds(i, theta_bound(i), c_bound(i), eps_max(i))
 
 
 # admissible mixture range for the default smoothness index

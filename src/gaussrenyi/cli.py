@@ -169,8 +169,9 @@ def _cmd_convergence(args):
 
 def _cmd_bounds(args):
     header = ["i", "theta", "c", "eps_max"]
-    rows = [[1, "", "", "deferred (i=1 case not covered by these bounds)"]]
-    rows += ([i, theta_bound(i), c_bound(i), eps_max(i)] for i in range(2, args.n_max + 1))
+    rows = itertools.chain([[1, "", "", "deferred (i=1 case not covered by these bounds)"]],
+                           ([i, theta_bound(i), c_bound(i), eps_max(i)]
+                            for i in range(2, args.n_max + 1)))
     return header, rows, {}
 
 

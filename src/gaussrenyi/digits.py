@@ -135,7 +135,9 @@ def digit_law(eps, series, n_max=100):
     is returned as computed.
     """
     check_count("digit cutoff", n_max, 1)
-    probs = np.array([digit_probability(n, eps, series) for n in range(1, n_max + 1)])
+    probs = np.empty(n_max)  # sized first: a table beyond memory fails at once
+    for n in range(1, n_max + 1):
+        probs[n - 1] = digit_probability(n, eps, series)
     if np.any(probs < -1e-9):
         worst = float(probs.min())
         warn(f"digit probability dips to {worst:.3e}; "

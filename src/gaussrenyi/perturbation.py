@@ -181,13 +181,11 @@ def mixture_series(h0, m0, m1, order=3):
     """
     check_count("order", order, 1)
     g1 = mixture_forcing_terms(h0, m1, 1)[0]
-    coeffs = [resolvent_solve(m0, g1)]  # checks m0 against the degree of m1
+    coeffs = np.empty(order, dtype=object)  # sized first: an order beyond memory fails at once
+    coeffs[0] = resolvent_solve(m0, g1)  # checks m0 against the degree of m1
     delta = m1.entries - m0.entries
-    for _ in range(2, order + 1):
-        nxt = resolvent_solve(
-            m0, ChebFn.from_values(delta @ coeffs[-1].values)
-        )
-        coeffs.append(nxt)
+    for n in range(1, order):
+        coeffs[n] = resolvent_solve(m0, ChebFn.from_values(delta @ coeffs[n - 1].values))
     return PerturbationSeries(h0, tuple(coeffs), order, m0=m0, m1=m1)
 
 

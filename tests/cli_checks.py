@@ -29,7 +29,6 @@ import shlex
 import shutil
 import subprocess
 import sys
-import tempfile
 
 # (table, argv, warning lines): the four commands at eps >= 0.9 write one
 # warning line, whatever the number of digits (the density's line comes from
@@ -74,8 +73,9 @@ REFUSALS = [
     ("simulate --seed -1", "gaussrenyi: --seed must be at least 0: -1"),
     ("density --a-max 4", "gaussrenyi: --a-max must be at least 8: 4"),
 ]
-# smoke writes its tables here and threads reads them
-TABLES = pathlib.Path(tempfile.gettempdir()) / "gaussrenyi-cli-checks"
+# smoke writes its tables here and threads reads them; under the checkout, so
+# two checkouts checked on one machine never erase or read each other's tables
+TABLES = pathlib.Path(__file__).resolve().parent.parent / ".cli_checks"
 
 
 def smoke(prefix):

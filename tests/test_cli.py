@@ -221,13 +221,17 @@ def test_smoke_list_is_well_formed():
 
 
 def test_unallocatable_configuration_exit_code(capsys):
-    # digit index 10^15: one orbit's row of map choices needs 7 PiB, so the
-    # allocation fails at once, before any work
-    assert main(["simulate", "--n-index", str(10**15)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("gaussrenyi: "), lines
+    # each table is allocated before any of its work: one orbit's row of map
+    # choices at digit index 10^15 needs 7 PiB, a digit table of 10^12 rows
+    # 7.3 TiB, and 10^30 coefficients more than an index can count
+    for argv in (["simulate", "--n-index", str(10**15)],
+                 ["digits", "--n-max", str(10**12)],
+                 ["density", "--order", str(10**30)]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("gaussrenyi: "), lines
 
 
 def test_provenance_keys_in_order(tmp_path):
@@ -306,13 +310,15 @@ _SIMULATE = ["simulate", "--samples", "1000", "--n-index", "1"]
         (_DENSITY + ["--format", "json"], "--grid", 20001, 7.0),
         (_SIMULATE, "--n-max", 20000, 2.0),
         (_SIMULATE + ["--format", "json"], "--n-max", 20000, 7.0),
+        (["bounds"], "--n-max", 20000, 1.0),
     ],
-    ids=["density-csv", "density-json", "simulate-csv", "simulate-json"],
+    ids=["density-csv", "density-json", "simulate-csv", "simulate-json", "bounds-csv"],
 )
 def test_tables_are_written_as_formatted(tmp_path, args, size_flag, size, limit_mib):
-    # the rows are formatted from the handler's arrays straight into the
-    # destination; holding them as per-row lists and then as one text traced
-    # 9.4, 16.4, 4.9 and 11.1 MiB
+    # the rows are formatted from the handler's arrays, or computed one at a
+    # time, straight into the destination; holding them as per-row lists and
+    # then as one text traced 9.4, 16.4, 4.9 and 11.1 MiB, and the bounds rows
+    # as one list 3.9 MiB
     import tracemalloc
 
     assert run(tmp_path, "warm", args + [size_flag, "3"])[0] == 0

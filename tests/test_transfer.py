@@ -18,7 +18,6 @@ from gaussrenyi import (
     DigitCell,
     DigitLaw,
     EmpiricalLaw,
-    LasotaYorkeBounds,
     MapKind,
     OperatorMatrix,
     PerturbationSeries,
@@ -380,7 +379,6 @@ def test_records_compare_and_hash():
     by_value = [
         lambda: DigitCell(0, 1, 0.25, 0.5),
         lambda: SimConfig(0.1, 10, seed=3),
-        lambda: LasotaYorkeBounds(2, 0.5, 1.5, 0.25),
     ]
     for make in by_value:
         a, b = make(), make()
