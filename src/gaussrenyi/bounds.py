@@ -20,6 +20,7 @@ does not cover it.  :func:`hurwitz_zeta` is the package's one zeta summation.
 from __future__ import annotations
 
 import math
+import sys
 
 from .maps import check_count, warn
 
@@ -47,12 +48,14 @@ def hurwitz_zeta(s, q):
     Euler-Maclaurin formula, DLMF 2.10.1, on the series DLMF 25.11.1),
     which leaves a remainder far below double rounding for s >= 2 and
     q >= 1.  s and q are real scalars and must be finite; the result is a float.
+    An integer s past the float range is summed as the largest float, at
+    which x^(-s) is 0 for every x > 1.
     """
     if not 1 < s < math.inf:  # also catches NaN
         raise ValueError(f"exponent must be finite and exceed 1: {s!r}")
     if not 0 < q < math.inf:
         raise ValueError("offset must be finite and exceed 0")
-    s, q = float(s), float(q)
+    s, q = float(min(s, sys.float_info.max)), float(q)
     x = q + _EXPLICIT_TERMS
     xs = x**-s
     out = x * xs / (s - 1.0) + 0.5 * xs
@@ -71,7 +74,7 @@ def theta_bound(i):
     """Contraction factor zeta(2i)^2 - (1 - 4^(-i)) = z (2 + z) + 4^(-i), in (0, 1), i >= 2."""
     check_count("smoothness index", i, 2)
     z = hurwitz_zeta(2 * i, 2.0)  # zeta(2i) - 1
-    return z * (2.0 + z) + 0.25**i
+    return z * (2.0 + z) + math.ldexp(1.0, -2 * i)  # 4^(-i); 0.25**i fails past the float range
 
 
 def c_bound(i):
@@ -82,7 +85,7 @@ def c_bound(i):
 
 def eps_max(i):
     """Largest admissible Renyi weight, (1 - theta) / (c - theta), c - theta = 1 - 4^(-i)."""
-    return (1.0 - theta_bound(i)) / (1.0 - 0.25**i)
+    return (1.0 - theta_bound(i)) / (1.0 - math.ldexp(1.0, -2 * i))
 
 
 # admissible mixture range for the default smoothness index

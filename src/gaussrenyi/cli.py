@@ -62,7 +62,8 @@ __all__ = ["main"]
 _CONVERGENCE_GRID = (0.01, 0.02, 0.04)
 
 
-# name -> (type, help, floor): an int flag below its floor and a float flag
+# name -> (type, help, floor): an int flag below its floor or, the seed
+# excepted, above sys.maxsize, which could size no array, and a float flag
 # outside [0, 1] are rejected, in this order, so with two bad flags the first
 # one listed here is reported
 _FLAGS = {
@@ -228,7 +229,10 @@ def _validate(args):
         if name in defaults and kind is float:
             check_unit(_flag(name), getattr(args, name))
         elif name in defaults:
-            check_count(_flag(name), getattr(args, name), floor)
+            value = getattr(args, name)
+            check_count(_flag(name), value, floor)
+            if value > sys.maxsize and name != "seed":  # PCG64 takes any seed
+                raise ValueError(f"{_flag(name)} must be at most {sys.maxsize}: {value!r}")
 
 
 def _run(args):

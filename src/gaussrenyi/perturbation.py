@@ -30,7 +30,7 @@ import numpy as np
 
 from .bounds import warn_if_inadmissible
 from .funcspace import ChebFn, linear_combo
-from .maps import Record, check_count, check_degree
+from .maps import Record, check_count, check_degree, check_unit
 from .transfer import _MEAN_LIMIT, OperatorMatrix, _warn_outside_unit, resolvent_solve
 
 __all__ = [
@@ -68,19 +68,16 @@ class PerturbationSeries(Record):
             )
 
     def at(self, eps):
-        """Evaluate the truncated expansion at a mixture weight eps.
+        """Evaluate the truncated expansion at a mixture weight eps in [0, 1].
 
         h_eps is kept for the last weight, so repeated calls at one
         weight, as in a digit table, build h_eps and its cached
         antiderivative once and return the same immutable
-        :class:`ChebFn`.  An inadmissible finite eps warns once per h_eps
-        built.  Raises ValueError, naming eps, when eps is NaN, negative or
-        infinite, or when a power eps^n or a term of the sum overflows.
+        :class:`ChebFn`.  An eps past eps_max(2) warns once per h_eps
+        built.  Raises ValueError, "mixture weight outside [0, 1]: <eps>",
+        before any build when eps is not a probability, NaN included.
         """
-        if not eps >= 0.0:  # also catches NaN
-            raise ValueError(f"mixture weight must be at least 0: {eps!r}")
-        if eps == math.inf:
-            raise ValueError(f"mixture weight must be finite: {eps!r}")
+        check_unit("mixture weight", eps)
         return self._at(float(eps))
 
     @cached_property
@@ -89,12 +86,7 @@ class PerturbationSeries(Record):
 
         def build(eps):  # warns under the C cache, so maps.warn finds the caller of at
             warn_if_inadmissible(eps)
-            try:
-                with np.errstate(over="raise"):
-                    terms = [(eps**n, c) for n, c in enumerate(coeffs, 1)]
-                    return linear_combo([(1.0, h0)] + terms)
-            except ArithmeticError:  # OverflowError from eps**n, FloatingPointError from numpy
-                raise ValueError(f"mixture weight {eps!r} overflows the expansion") from None
+            return linear_combo([(1.0, h0)] + [(eps**n, c) for n, c in enumerate(coeffs, 1)])
 
         return lru_cache(maxsize=1)(build)
 
@@ -105,7 +97,8 @@ class PerturbationSeries(Record):
     def residual(self, eps):
         """Node sup-norm of L_eps h - h for h = ``at(eps)`` and the series' operators.
 
-        Raises ValueError on a series built without its operators.
+        eps must lie in [0, 1], as for :meth:`at`.  Raises ValueError on a
+        series built without its operators.
         """
         if self.m0 is None or self.m1 is None:
             raise ValueError("the series has no operators; build it with mixture_series")

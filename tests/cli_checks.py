@@ -9,7 +9,7 @@ installed console script or the module entry point:
 smoke    runs SMOKE twice at each of one and two BLAS threads and requires
          byte-identical reruns, exit code 0 and exactly the expected warning
          lines on stderr; the module entry point writes what the prefix
-         writes, and two flags below their floor are refused
+         writes, and each of REFUSALS exits 1 with its one stderr line
 memory   max RSS of a fresh process does not grow with samples, --a-max or
          table length
 threads  the tables smoke wrote at one and two BLAS threads agree by value
@@ -17,7 +17,8 @@ threads  the tables smoke wrote at one and two BLAS threads agree by value
 
 Every failed check is printed and the exit code is 1.  The standard library
 only, so the checks run wherever the CLI does.  The name keeps the file out of
-pytest's collection; tests/test_cli.py checks that SMOKE is well formed.
+pytest's collection; tests/test_cli.py checks that SMOKE is well formed and
+runs REFUSALS in process.
 """
 
 import argparse
@@ -68,10 +69,15 @@ SMOKE = [
 ]
 MODULE = [sys.executable, "-m", "gaussrenyi.cli"]
 WARNING = "gaussrenyi: warning:"
-# a flag below its floor: exit code 1, no output and this one stderr line
+# a flag below its floor or above sys.maxsize: exit code 1, no output and this
+# one stderr line
 REFUSALS = [
     ("simulate --seed -1", "gaussrenyi: --seed must be at least 0: -1"),
     ("density --a-max 4", "gaussrenyi: --a-max must be at least 8: 4"),
+    ("density --order 1000000000000000000000000000000",
+     "gaussrenyi: --order must be at most 9223372036854775807: 1000000000000000000000000000000"),
+    ("simulate --n-index 1000000000000000000000000000000",
+     "gaussrenyi: --n-index must be at most 9223372036854775807: 1000000000000000000000000000000"),
 ]
 # smoke writes its tables here and threads reads them; under the checkout, so
 # two checkouts checked on one machine never erase or read each other's tables

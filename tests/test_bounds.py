@@ -103,6 +103,9 @@ def test_eps_range_tends_to_one():
     assert values[-1] > 0.999999
     assert theta_bound(10**154) == 0.0
     assert eps_max(10**154) == 1.0
+    # 2i past the float range, then i past it too
+    for i in (10**308, 10**400):
+        assert (theta_bound(i), c_bound(i), eps_max(i)) == (0.0, 1.0, 1.0), i
 
 
 def test_monotone_in_smoothness():

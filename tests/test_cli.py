@@ -2,10 +2,11 @@
 
 import json
 import math
+import sys
 
 import pytest
 
-from cli_checks import SMOKE
+from cli_checks import REFUSALS, SMOKE
 from gaussrenyi import (
     MapKind, assemble_operator, eps_max, invariant_density, mixture_series, tail_error_bound,
 )
@@ -201,6 +202,13 @@ def test_validation_exit_code(tmp_path, capsys):
         (["bounds", "--n-max", "0"], "--n-max must be at least 1"),
         (["simulate", "--seed", "-1"], "--seed must be at least 0: -1"),
     ]
+    # every int flag but the seed is at most sys.maxsize, so an array can be sized by it
+    big = str(10**30)
+    cases += [([command, flag, big], f"{flag} must be at most {sys.maxsize}: {big}")
+              for command, flag in [("density", "--order"), ("density", "--grid"),
+                                    ("density", "--degree"), ("density", "--a-max"),
+                                    ("digits", "--n-max"), ("simulate", "--n-max"),
+                                    ("simulate", "--n-index"), ("simulate", "--samples")]]
     for args, message in cases:
         assert main(args) == 1, args
         assert message in capsys.readouterr().err, args
@@ -220,13 +228,21 @@ def test_smoke_list_is_well_formed():
             assert warnings == 0, table
 
 
+def test_refusals_list_is_well_formed(capsys):
+    # the refusals that cli_checks.py smoke runs in fresh processes, here in
+    # process: exit code 1, no output and exactly the expected stderr line
+    for argv, want in REFUSALS:
+        assert main(argv.split()) == 1, argv
+        assert capsys.readouterr() == ("", want + "\n"), argv
+
+
 def test_unallocatable_configuration_exit_code(capsys):
     # each table is allocated before any of its work: one orbit's row of map
     # choices at digit index 10^15 needs 7 PiB, a digit table of 10^12 rows
-    # 7.3 TiB, and 10^30 coefficients more than an index can count
+    # 7.3 TiB, and one of 2^62 rows more bytes than an index can count
     for argv in (["simulate", "--n-index", str(10**15)],
                  ["digits", "--n-max", str(10**12)],
-                 ["density", "--order", str(10**30)]):
+                 ["digits", "--n-max", str(2**62)]):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == ""
