@@ -47,14 +47,15 @@ def hurwitz_zeta(s, q):
     half-term and eight Bernoulli corrections at x = q + 12 (the
     Euler-Maclaurin formula, DLMF 2.10.1, on the series DLMF 25.11.1),
     which leaves a remainder far below double rounding for s >= 2 and
-    q >= 1.  s and q are real scalars and must be finite; the result is a float.
+    q >= 1.  s and q are finite real scalars with s > 1 and q >= 1, so no
+    term (q + a)^(-s) exceeds 1 and none overflows; the result is a float.
     An integer s past the float range is summed as the largest float, at
     which x^(-s) is 0 for every x > 1.
     """
     if not 1 < s < math.inf:  # also catches NaN
         raise ValueError(f"exponent must be finite and exceed 1: {s!r}")
-    if not 0 < q < math.inf:
-        raise ValueError("offset must be finite and exceed 0")
+    if not 1 <= q < math.inf:
+        raise ValueError(f"offset must be finite and at least 1: {q!r}")
     s, q = float(min(s, sys.float_info.max)), float(q)
     x = q + _EXPLICIT_TERMS
     xs = x**-s

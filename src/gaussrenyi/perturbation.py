@@ -31,7 +31,7 @@ import numpy as np
 from .bounds import warn_if_inadmissible
 from .funcspace import ChebFn, linear_combo
 from .maps import Record, check_count, check_degree, check_unit
-from .transfer import _MEAN_LIMIT, OperatorMatrix, _warn_outside_unit, resolvent_solve
+from .transfer import _MEAN_LIMIT, OperatorMatrix, resolvent_solve
 
 __all__ = [
     "PerturbationSeries", "density_derivative", "mixture_forcing_terms", "mixture_series",
@@ -187,13 +187,13 @@ def residual(eps, h, m0, m1):
 
     Computes (1 - eps) (M0 h) + eps (M1 h) - h on the node values with
     two mat-vecs and builds no mixture matrix.  Like
-    :func:`~gaussrenyi.transfer.annealed`, it warns at the caller's line
-    when eps lies outside [0, 1], and raises ValueError when the degrees
-    of m0, m1 and h differ.
+    :func:`~gaussrenyi.transfer.annealed`, it raises ValueError for a
+    weight outside [0, 1], before it reads h, m0 or m1, and when the
+    degrees of m0, m1 and h differ.
     """
+    check_unit("mixture weight", eps)
     check_degree(m0, m1)
     check_degree(m0, h)
-    _warn_outside_unit(eps)
     v = h.values
     image = (1.0 - eps) * (m0.entries @ v) + eps * (m1.entries @ v)
     return float(np.max(np.abs(image - v)))

@@ -66,7 +66,11 @@ _A_HUGE = 10**6  # branches summed by brute_force_transfer
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Configuration of one reproducible simulation run."""
+    """Configuration of one reproducible simulation run.
+
+    eps is the Renyi weight, in [0, 1].  burn_in, the random steps
+    :func:`empirical_density` takes before it bins, is at least 50.
+    """
 
     eps: float
     samples: int
@@ -78,7 +82,7 @@ class SimConfig:
         check_unit("eps", self.eps)
         check_count("samples", self.samples, 1)
         check_count("n_index", self.n_index, 1)
-        check_count("burn_in", self.burn_in, 0)
+        check_count("burn_in", self.burn_in, 50)
         check_count("seed", self.seed, 0)
 
 
@@ -190,9 +194,9 @@ def empirical_density(cfg, bins=100):
 
     Each sample is an independent chain started from a uniform point;
     after burn-in the positions are approximately stationary and the
-    normalized histogram approximates the stationary density.
+    normalized histogram approximates the stationary density.  The burn-in
+    is at least 50, the floor :class:`SimConfig` checks.
     """
-    check_count("burn_in", cfg.burn_in, 50)
     check_count("bins", bins, 1)
     points = _cursor(cfg.seed, 0)
     chunk = min(cfg.samples, _BLOCK)

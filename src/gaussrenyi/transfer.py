@@ -71,7 +71,9 @@ from .funcspace import (
     quadrature_weights,
     values_to_coeffs_matrix,
 )
-from .maps import MapKind, Record, check_count, check_degree, check_kind, frozen_copy, warn
+from .maps import (
+    MapKind, Record, check_count, check_degree, check_kind, check_unit, frozen_copy, warn,
+)
 
 __all__ = [
     "DEFAULT_A_MAX", "ConvergenceError", "OperatorMatrix", "TailBoundWarning", "annealed",
@@ -275,16 +277,14 @@ def assemble_operator(kind, degree=DEFAULT_DEGREE, a_max=DEFAULT_A_MAX):
     return OperatorMatrix(M[:, ::-1] if kind is MapKind.RENYI else M)
 
 
-def _warn_outside_unit(eps):
-    """Warn at the caller's line when a mixture weight lies outside [0, 1]."""
-    if not 0.0 <= eps <= 1.0:
-        warn(f"mixture weight {eps!r} outside [0, 1]")
-
-
 def annealed(eps, m0, m1):
-    """Convex mixture (1 - eps) m0 + eps m1 of two operator matrices."""
+    """Convex mixture (1 - eps) m0 + eps m1 of two operator matrices.
+
+    Raises ValueError for a weight outside [0, 1], before it reads m0 or
+    m1, and for operators of different degree.
+    """
+    check_unit("mixture weight", eps)
     check_degree(m0, m1)
-    _warn_outside_unit(eps)
     entries = np.multiply(m0.entries, 1.0 - eps)
     entries += eps * m1.entries
     return OperatorMatrix(entries, eps=float(eps))

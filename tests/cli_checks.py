@@ -136,7 +136,7 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 MEMORY = [
     # Monte Carlo memory does not grow with samples: holding every orbit's
     # position at once grew the larger run by 28 MB
-    ("samples", "simulate --eps 0.1 --samples 250000",
+    ("--samples", "simulate --eps 0.1 --samples 250000",
      "simulate --eps 0.1 --samples 4000000", 4000),
     # a large --a-max costs time, not memory: one (a_max, n) branch block for
     # every node grew the larger run by 38000 kB

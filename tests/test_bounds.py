@@ -1,6 +1,7 @@
 """Contraction constants and the admissible mixture range."""
 
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -50,6 +51,11 @@ def test_hurwitz_zeta_validation():
         hurwitz_zeta(math.inf, 1.0)
     with pytest.raises(ValueError, match="finite"):
         hurwitz_zeta(2.0, math.inf)
+    # below q = 1 a term (q + a)^(-s) exceeds 1 and overflows at large s
+    for s, q in ((2.0, 0.5), (1100, 0.5), (1e300, 0.9)):
+        message = f"offset must be finite and at least 1: {q!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hurwitz_zeta(s, q)
 
 
 def test_theta_i2():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cli_checks import REFUSALS, SMOKE
+from cli_checks import MEMORY, REFUSALS, SMOKE
 from gaussrenyi import (
     MapKind, assemble_operator, eps_max, invariant_density, mixture_series, tail_error_bound,
 )
@@ -226,6 +226,19 @@ def test_smoke_list_is_well_formed():
             assert warnings == int(args.eps > eps_max(2)), table
         else:
             assert warnings == 0, table
+
+
+def test_memory_list_is_well_formed():
+    # the pairs that cli_checks.py memory runs: both argv are valid, and they
+    # differ only in a larger value after the flag that the label names
+    for grows, small_argv, large_argv, _ in MEMORY:
+        for argv in (small_argv, large_argv):
+            cli._validate(cli._build_parser().parse_args(argv.split()))
+        small, large = small_argv.split(), large_argv.split()
+        assert len(small) == len(large), grows
+        differ = [i for i, (a, b) in enumerate(zip(small, large)) if a != b]
+        assert len(differ) == 1 and small[differ[0] - 1] == grows, grows
+        assert float(small[differ[0]]) < float(large[differ[0]]), grows
 
 
 def test_refusals_list_is_well_formed(capsys):

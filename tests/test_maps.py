@@ -29,6 +29,7 @@ from gaussrenyi import (
     density_derivative,
     digit_cells,
     digit_law,
+    digit_probability,
     empirical_density,
     forward,
     gauss_kuzmin,
@@ -65,11 +66,9 @@ _FLOORS = {
     "density_derivative": ("derivative order", 1, lambda v: density_derivative(None, v)),
     "SimConfig.samples": ("samples", 1, lambda v: SimConfig(0.1, v)),
     "SimConfig.n_index": ("n_index", 1, lambda v: SimConfig(0.1, 10, n_index=v)),
-    "SimConfig.burn_in": ("burn_in", 0, lambda v: SimConfig(0.1, 10, burn_in=v)),
+    "SimConfig.burn_in": ("burn_in", 50, lambda v: SimConfig(0.1, 10, burn_in=v)),
     "SimConfig.seed": ("seed", 0, lambda v: SimConfig(0.1, 10, seed=v)),
     "simulate_digit_freq": ("n_max", 1, lambda v: simulate_digit_freq(_CFG, v)),
-    "empirical_density.burn_in": ("burn_in", 50,
-                                  lambda v: empirical_density(SimConfig(0.1, 10, burn_in=v))),
     "empirical_density.bins": ("bins", 1, lambda v: empirical_density(_CFG, v)),
     "assemble_operator": ("degree", 8, lambda v: assemble_operator(MapKind.GAUSS, v)),
     "assemble_operator.a_max": ("a_max", 8, lambda v: assemble_operator(MapKind.GAUSS, 16, v)),
@@ -78,6 +77,18 @@ _FLOORS = {
                        lambda v: apply_transfer(MapKind.GAUSS, ChebFn.constant(1.0, 16), v)),
     "theta_bound": ("smoothness index", 2, theta_bound),
     "c_bound": ("smoothness index", 2, c_bound),
+}
+
+# site -> (name in the message, call with the weight); each call reaches its
+# weight check before any other argument is used
+_WEIGHTS = {
+    "annealed": ("mixture weight", lambda v: annealed(v, None, None)),
+    "residual": ("mixture weight", lambda v: residual(v, None, None, None)),
+    "PerturbationSeries.at": ("mixture weight",
+                              lambda v: PerturbationSeries(ChebFn.constant(1.0, 8), (), 0).at(v)),
+    "digit_probability": ("eps", lambda v: digit_probability(1, v, None)),
+    "digit_law": ("eps", lambda v: digit_law(v, None, 5)),
+    "SimConfig": ("eps", lambda v: SimConfig(v, 10)),
 }
 
 
@@ -197,6 +208,17 @@ def test_count_floors(name, low, call):
         call(float(low))
 
 
+@pytest.mark.parametrize("name, call", list(_WEIGHTS.values()), ids=list(_WEIGHTS))
+def test_weights_are_probabilities(name, call):
+    # one rule and one message for every weight that builds an operator, a
+    # density, a residual, a digit law or a simulation: refused, not warned
+    for v in (math.nan, -0.1, -5.0, math.nextafter(1.0, 2.0), math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"{name} outside [0, 1]: {v!r}")):
+                call(v)
+
+
 def test_public_names_resolve():
     # every exported name is bound once, and the star import binds exactly them
     names = gaussrenyi.__all__
@@ -290,7 +312,7 @@ def _pure_renyi(ops):
         invariant_density(annealed(1.0, *ops))
 
 
-def test_warnings_point_at_the_caller(series3, ops32, ops128):
+def test_warnings_point_at_the_caller(series3, ops32):
     # one warning rule: a density built at an inadmissible weight warns once,
     # and every warning points at the first line outside the package
     fresh = PerturbationSeries(series3.h0, series3.coeffs, 3)
@@ -298,10 +320,11 @@ def test_warnings_point_at_the_caller(series3, ops32, ops128):
     fresh = PerturbationSeries(series3.h0, series3.coeffs, 3)
     built = _caught(fresh.at, 0.95)
     assert (len(law), len(built), len(_caught(fresh.at, 0.95))) == (1, 1, 0)
-    mixture = _caught(residual, 1.2, series3.h0, *ops128)
+    rough = ChebFn.from_callable(lambda x: math.cos(40 * math.pi * x), 128)
+    tail = _caught(apply_transfer, MapKind.GAUSS, rough, 8)  # the tail bound warns
     renyi = _caught(_pure_renyi, ops32)  # only the admissible-range warning
-    assert ["admissible" in str(w.message) for w in mixture + renyi] == [False, True]
-    for w in law + built + mixture + renyi:
+    assert ["admissible" in str(w.message) for w in tail + renyi] == [False, True]
+    for w in law + built + tail + renyi:
         assert w.filename == __file__, (str(w.message), w.filename, w.lineno)
 
 

@@ -41,9 +41,8 @@ def table(forcing, ops128):
 
 
 def _resolvent_of(eps, m0, m1, g):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # negative eps probes
-        return resolvent_solve(annealed(eps, m0, m1), g)
+    # the affine family (1 - eps) M0 + eps M1, probed on both sides of eps = 0
+    return resolvent_solve(OperatorMatrix(m0.entries + eps * (m1.entries - m0.entries)), g)
 
 
 # --------------------------------------------------------- forcing terms

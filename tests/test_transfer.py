@@ -499,11 +499,6 @@ def test_annealed_degree_mismatch(ops32, ops128):
         annealed(0.1, ops32[0], ops128[1])
 
 
-def test_annealed_out_of_range_warns(ops32):
-    with pytest.warns(UserWarning, match="outside"):
-        annealed(-0.001, *ops32)
-
-
 # ----------------------------------------------------- invariant_density
 
 
